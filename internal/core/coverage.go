@@ -6,7 +6,6 @@ import (
 	"xmlac/internal/observatory"
 	"xmlac/internal/policy"
 	"xmlac/internal/xmltree"
-	"xmlac/internal/xpath"
 )
 
 // Policy coverage analytics: the attribution map already knows, per node,
@@ -101,15 +100,9 @@ func (m *MultiUser) CoverageByCohort() (map[string]*observatory.CoverageReport, 
 	elements := m.doc.Elements()
 	out := make(map[string]*observatory.CoverageReport, len(m.cohorts))
 	for _, c := range m.cohorts {
-		byID := make(map[int64][]int32)
-		for i, r := range c.pol.Rules {
-			nodes, err := xpath.Eval(r.Resource, m.doc)
-			if err != nil {
-				return nil, fmt.Errorf("core: coverage of cohort %s rule %s: %w", c.id(), ruleLabel(i, r), err)
-			}
-			for _, n := range nodes {
-				byID[n.ID] = append(byID[n.ID], int32(i))
-			}
+		byID, err := ruleMatches(c.pol, m.doc, nil)
+		if err != nil {
+			return nil, fmt.Errorf("core: coverage of cohort %s: %w", c.id(), err)
 		}
 		out[c.id()] = coverageTally(c.pol, elements, byID, nil, c.refs)
 	}

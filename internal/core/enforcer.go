@@ -9,15 +9,15 @@ import (
 	"xmlac/internal/xpath"
 )
 
-// The enforcer seam splits "what may the user see" (the Table 2 policy
+// Enforcement splits "what may the user see" (the Table 2 policy
 // semantics) from "how is that decided at request time". The paper's
 // system materializes the decision as '+'/'−' signs and checks requests
-// against them; the query-rewriting literature (Fan et al.'s security
-// views, Mahfoud–Imine's rewriting over recursive views) instead
-// composes the policy into the query and evaluates it over the
-// unannotated store. Both are strategies behind one interface: the
-// System owns locking, spans, metrics and auditing, and an Enforcer
-// turns one already-locked query into an all-or-nothing decision.
+// against them (requestSigns); the query-rewriting literature (Fan et
+// al.'s security views, Mahfoud–Imine's rewriting over recursive views)
+// instead composes the policy into the query and evaluates it over the
+// unannotated store (requestRewrite). The System owns locking, spans,
+// metrics and auditing around both, and calls one of them with the read
+// lock held.
 
 // EnforceMode selects the enforcement strategy of a System or a single
 // request.
@@ -80,37 +80,13 @@ func ParseEnforceMode(s string) (EnforceMode, error) {
 	return EnforceAuto, fmt.Errorf("core: unknown enforcement mode %q (want auto, signs or rewrite)", s)
 }
 
-// Enforcer is one request-enforcement strategy. Implementations are
-// invoked with the System's read lock held; they may consult the engine
-// and the document but must not mutate either.
-type Enforcer interface {
-	// Mode identifies the strategy (EnforceSigns or EnforceRewrite).
-	Mode() EnforceMode
-	// Request decides one query all-or-nothing: the granted result, or a
-	// DeniedError naming the first inaccessible node. cacheHit reports
-	// whether the decision was served from a cached accessibility
-	// artifact (the CAM query cache, or the rewriter's scope sets).
-	Request(ctx context.Context, q *xpath.Path, sp *obs.Span) (res *RequestResult, cacheHit bool, err error)
-	// MaintainsSigns reports whether this strategy depends on
-	// materialized signs — and therefore whether writes must re-annotate.
-	MaintainsSigns() bool
-}
-
-// materializedEnforcer is the paper's pipeline behind the seam: the
-// engine checks the query against its materialized signs (or, with the
-// query cache on, against the CAM built from them). Behavior-preserving
-// by construction — it is the former System.RequestCtx body verbatim.
-type materializedEnforcer struct {
-	s *System
-}
-
-func (m *materializedEnforcer) Mode() EnforceMode    { return EnforceSigns }
-func (m *materializedEnforcer) MaintainsSigns() bool { return true }
-
-func (m *materializedEnforcer) Request(ctx context.Context, q *xpath.Path, sp *obs.Span) (*RequestResult, bool, error) {
-	if m.s.qc != nil {
-		return m.s.requestCached(q, sp)
+// requestSigns is the paper's pipeline: the engine checks the query
+// against its materialized signs (or, with the query cache on, against the
+// CAM built from them). The bool reports a query-cache hit.
+func (s *System) requestSigns(ctx context.Context, q *xpath.Path, sp *obs.Span) (*RequestResult, bool, error) {
+	if s.cfg.QueryCache {
+		return s.requestCached(q, sp)
 	}
-	res, err := m.s.engine.Request(obs.ContextWithSpan(ctx, sp), q)
+	res, err := s.engine.Request(obs.ContextWithSpan(ctx, sp), q)
 	return res, false, err
 }

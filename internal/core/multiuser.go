@@ -63,13 +63,6 @@ type MultiUser struct {
 	// golden-test baseline). seq disambiguates private cohort keys.
 	share bool
 	seq   uint64
-	// enforce selects the update strategy: EnforceSigns (the default)
-	// rebuilds every affected cohort map eagerly inside Delete, the
-	// materialized behavior; EnforceRewrite defers — affected cohorts are
-	// only marked stale and each map is recomputed lazily on its cohort's
-	// next read, so a write burst pays zero rebuilds for cohorts nobody
-	// queries in between.
-	enforce EnforceMode
 	// totalMarks tracks the aggregate compressed-map size incrementally
 	// (atomic: Delete's rebuilds update it from pool workers).
 	totalMarks atomic.Int64
@@ -102,10 +95,6 @@ type cohort struct {
 	reann   *Reannotator
 	acc     *cam.Map
 	refs    int
-	// stale marks a deferred rebuild (EnforceRewrite updates): the map no
-	// longer reflects the document and must be recomputed before serving.
-	// Read under the MultiUser read lock, written under the write lock.
-	stale bool
 }
 
 // id renders the short stable identifier of the cohort (an FNV-64a hash of
@@ -462,8 +451,6 @@ type CohortInfo struct {
 	// Default and Conflict are the policy's Table 2 effects ("+"/"-").
 	Default  string `json:"default"`
 	Conflict string `json:"conflict"`
-	// Stale reports a pending deferred rebuild (EnforceRewrite updates).
-	Stale bool `json:"stale,omitempty"`
 }
 
 // MultiUserStats summarizes the cohort compression — the numbers the
@@ -473,7 +460,6 @@ type MultiUserStats struct {
 	Cohorts    int          `json:"cohorts"`
 	DedupRatio float64      `json:"dedup_ratio"` // users per cohort
 	TotalMarks int          `json:"total_marks"`
-	Enforce    EnforceMode  `json:"enforce"`     // update strategy
 	CohortList []CohortInfo `json:"cohort_list"` // by members desc, then id
 }
 
@@ -485,7 +471,6 @@ func (m *MultiUser) Stats() MultiUserStats {
 		Users:      len(m.users),
 		Cohorts:    len(m.cohorts),
 		TotalMarks: int(m.totalMarks.Load()),
-		Enforce:    m.enforce,
 	}
 	if s.Cohorts > 0 {
 		s.DedupRatio = float64(s.Users) / float64(s.Cohorts)
@@ -497,7 +482,6 @@ func (m *MultiUser) Stats() MultiUserStats {
 			Rules:    len(c.pol.Rules),
 			Default:  c.pol.Default.String(),
 			Conflict: c.pol.Conflict.String(),
-			Stale:    c.stale,
 		}
 		if c.acc != nil {
 			info.Marks = c.acc.Size()
@@ -539,74 +523,6 @@ func (m *MultiUser) user(name string) (*cohort, error) {
 	return c, nil
 }
 
-// SetEnforcement switches the update strategy (see the enforce field).
-// Switching back to the eager EnforceSigns immediately rebuilds every
-// deferred cohort, so no stale map can serve afterwards. EnforceAuto
-// resolves to the eager default.
-func (m *MultiUser) SetEnforcement(mode EnforceMode) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if mode == EnforceAuto {
-		mode = EnforceSigns
-	}
-	m.enforce = mode
-	if mode == EnforceRewrite {
-		return nil
-	}
-	var stale []*cohort
-	for _, c := range m.cohorts {
-		if c.stale {
-			stale = append(stale, c)
-		}
-	}
-	sort.Slice(stale, func(i, j int) bool { return stale[i].key < stale[j].key })
-	if err := m.pool.ForEach(len(stale), func(i int) error {
-		return m.rebuild(stale[i])
-	}); err != nil {
-		return err
-	}
-	for _, c := range stale {
-		c.stale = false
-	}
-	m.updateGauges()
-	return nil
-}
-
-// Enforcement returns the active update strategy.
-func (m *MultiUser) Enforcement() EnforceMode {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.enforce
-}
-
-// lockFresh resolves a requester's cohort with a fresh accessibility map
-// and returns holding the read lock — on every path, success or error,
-// so callers uniformly `defer m.mu.RUnlock()`. A cohort marked stale by
-// a deferred update is rebuilt first under the write lock (the lock is
-// upgraded by release-and-reacquire, hence the retry loop: placements
-// may have changed in the gap).
-func (m *MultiUser) lockFresh(user string) (*cohort, error) {
-	for {
-		m.mu.RLock()
-		c, err := m.user(user)
-		if err != nil || !c.stale {
-			return c, err
-		}
-		m.mu.RUnlock()
-		m.mu.Lock()
-		if c := m.users[user]; c != nil && c.stale {
-			if err := m.rebuild(c); err != nil {
-				m.mu.Unlock()
-				m.mu.RLock()
-				return nil, err
-			}
-			c.stale = false
-			m.updateGauges()
-		}
-		m.mu.Unlock()
-	}
-}
-
 // SetAudit attaches an audit log: every subsequent Request is recorded
 // with the requesting subject stamped on the event (User), feeding the
 // per-subject denial forensics. Pass nil to detach.
@@ -620,8 +536,9 @@ func (m *MultiUser) SetAudit(l *audit.Log) {
 // semantics, checked against the requester's cohort accessibility map.
 func (m *MultiUser) Request(user string, q *xpath.Path) (*RequestResult, error) {
 	start := time.Now()
-	c, err := m.lockFresh(user)
+	m.mu.RLock()
 	defer m.mu.RUnlock()
+	c, err := m.user(user)
 	if err != nil {
 		return nil, err
 	}
@@ -677,8 +594,9 @@ func (m *MultiUser) auditRequestLocked(user string, c *cohort, q *xpath.Path, st
 
 // RequestFiltered returns only the matches accessible to the requester.
 func (m *MultiUser) RequestFiltered(user string, q *xpath.Path) (*RequestResult, int, error) {
-	c, err := m.lockFresh(user)
+	m.mu.RLock()
 	defer m.mu.RUnlock()
+	c, err := m.user(user)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -701,8 +619,9 @@ func (m *MultiUser) RequestFiltered(user string, q *xpath.Path) (*RequestResult,
 
 // AccessibleIDs returns the requester's accessible element-id set.
 func (m *MultiUser) AccessibleIDs(user string) (map[int64]bool, error) {
-	c, err := m.lockFresh(user)
+	m.mu.RLock()
 	defer m.mu.RUnlock()
+	c, err := m.user(user)
 	if err != nil {
 		return nil, err
 	}
@@ -712,8 +631,9 @@ func (m *MultiUser) AccessibleIDs(user string) (map[int64]bool, error) {
 // MapSize returns the compressed-map mark count of the requester's cohort
 // (the storage cost their whole equivalence class shares).
 func (m *MultiUser) MapSize(user string) (int, error) {
-	c, err := m.lockFresh(user)
+	m.mu.RLock()
 	defer m.mu.RUnlock()
+	c, err := m.user(user)
 	if err != nil {
 		return 0, err
 	}
@@ -731,10 +651,6 @@ type MultiUpdateReport struct {
 	// update actually paid for — with cohort compression, the cost scales
 	// with this, not with len(Reannotated).
 	RebuiltCohorts int
-	// DeferredCohorts is the number of affected cohorts whose rebuild was
-	// deferred to their next read (EnforceRewrite updates); always zero
-	// under the eager default.
-	DeferredCohorts int
 	// Took is the total wall time.
 	Took time.Duration
 }
@@ -763,24 +679,14 @@ func (m *MultiUser) Delete(u *xpath.Path) (*MultiUpdateReport, error) {
 		return nil, err
 	}
 	rep.DeletedNodes = total
-	if m.enforce == EnforceRewrite {
-		// Deferred maintenance: mark and move on; each affected map is
-		// recomputed on its cohort's next read (lockFresh), so the write
-		// itself pays zero rebuilds.
-		for _, c := range affected {
-			c.stale = true
-		}
-		rep.DeferredCohorts = len(affected)
-	} else {
-		// Each rebuild reads the shared tree and writes only its own
-		// cohort's map, so the rebuilds fan out on the pool.
-		if err := m.pool.ForEach(len(affected), func(i int) error {
-			return m.rebuild(affected[i])
-		}); err != nil {
-			return nil, err
-		}
-		rep.RebuiltCohorts = len(affected)
+	// Each rebuild reads the shared tree and writes only its own cohort's
+	// map, so the rebuilds fan out on the pool.
+	if err := m.pool.ForEach(len(affected), func(i int) error {
+		return m.rebuild(affected[i])
+	}); err != nil {
+		return nil, err
 	}
+	rep.RebuiltCohorts = len(affected)
 	touched := map[*cohort]bool{}
 	for _, c := range affected {
 		touched[c] = true
@@ -813,9 +719,6 @@ func (m *MultiUser) RebuildAll() error {
 	}); err != nil {
 		return err
 	}
-	for _, c := range all {
-		c.stale = false
-	}
 	m.updateGauges()
 	return nil
 }
@@ -823,8 +726,9 @@ func (m *MultiUser) RebuildAll() error {
 // ExportView materializes one requester's security view of the shared
 // document.
 func (m *MultiUser) ExportView(user string, mode ViewMode) (*xmltree.Document, error) {
-	c, err := m.lockFresh(user)
+	m.mu.RLock()
 	defer m.mu.RUnlock()
+	c, err := m.user(user)
 	if err != nil {
 		return nil, err
 	}

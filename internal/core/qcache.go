@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 
 	"xmlac/internal/cam"
 	"xmlac/internal/obs"
@@ -17,59 +16,35 @@ import (
 // puts it on the serving path: after annotation, the store's signs are
 // materialized once into a compressed map, and subsequent requests answer
 // their access checks from memory — no SQL probes on the relational
-// backends, no sign-walk on the native one. The cache is invalidated by a
-// version stamp the System bumps on every load, (re-)annotation and update.
+// backends, no sign-walk on the native one. The map is one part of the
+// store version's snapshot, so every load, (re-)annotation and update
+// drops it.
 
-// queryCache lazily materializes and serves one cam.Map per store version.
-type queryCache struct {
-	mu    sync.Mutex
-	built uint64 // System version the map reflects; 0 = never built
-	acc   *cam.Map
-
-	hits, misses *obs.Counter // nil when metrics are off
-}
-
-func newQueryCache(reg *obs.Registry) *queryCache {
-	qc := &queryCache{}
-	if reg != nil {
-		qc.hits = reg.Counter("core_qcache_hits_total")
-		qc.misses = reg.Counter("core_qcache_misses_total")
-	}
-	return qc
-}
-
-func (qc *queryCache) inc(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
-// cachedCAM returns the accessibility map for the current store version,
-// rebuilding it when stale, and reports whether the call was served from
-// the cache (a hit). Callers hold at least s.mu.RLock (so s.version and
-// the underlying store are stable); concurrent readers serialize the
-// rebuild on qc.mu and all but the first see a hit.
+// cachedCAM returns the accessibility map of the current store version,
+// building it on first use, and reports whether the call found it already
+// built (a hit). Callers hold at least s.mu.RLock, so the snapshot and the
+// underlying store are stable.
 func (s *System) cachedCAM() (*cam.Map, bool, error) {
-	qc := s.qc
-	qc.mu.Lock()
-	defer qc.mu.Unlock()
-	if qc.built == s.version && qc.acc != nil {
-		qc.inc(qc.hits)
-		return qc.acc, true, nil
-	}
-	qc.inc(qc.misses)
-	def := s.policy.Default == policy.Allow
-	if s.engine.Relational() {
-		accessible, err := s.engine.AccessibleIDs()
-		if err != nil {
-			return nil, false, err
-		}
-		qc.acc = cam.Build(s.Document(), accessible, def)
+	acc, hit, err := s.snap.cam.get(s.buildCAM)
+	if hit {
+		s.qcHits.Inc()
 	} else {
-		qc.acc = cam.FromSigns(s.Document(), def)
+		s.qcMisses.Inc()
 	}
-	qc.built = s.version
-	return qc.acc, false, nil
+	return acc, hit, err
+}
+
+// buildCAM materializes the store's signs as a compressed map.
+func (s *System) buildCAM() (*cam.Map, error) {
+	def := s.policy.Default == policy.Allow
+	if !s.engine.Relational() {
+		return cam.FromSigns(s.Document(), def), nil
+	}
+	accessible, err := s.engine.AccessibleIDs()
+	if err != nil {
+		return nil, err
+	}
+	return cam.Build(s.Document(), accessible, def), nil
 }
 
 // requestCached answers a request from the accessibility cache: the query

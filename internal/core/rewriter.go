@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"xmlac/internal/obs"
 	"xmlac/internal/policy"
@@ -11,33 +10,13 @@ import (
 	"xmlac/internal/xpath"
 )
 
-// rewriteEnforcer enforces by query rewriting: the user query is
-// evaluated raw (store.RawQuerier — no sign consultation) and each match
-// is decided by the Table 2 membership algebra over the policy's allow
-// and deny scope unions, themselves evaluated over the unannotated store
-// through the engine's EvalScope. Signs are never written and writes
-// never re-annotate; the scope sets are cached per store version exactly
-// like the CAM query cache, so a read-mostly workload pays the two scope
-// evaluations once per write.
-type rewriteEnforcer struct {
-	s  *System
-	rw *xpath.Rewriter
-
-	mu    sync.Mutex
-	built uint64 // System version the scope sets reflect; 0 = never
-	allow map[int64]bool
-	deny  map[int64]bool
-
-	rebuilds *obs.Counter // nil when metrics are off
-}
-
-func newRewriteEnforcer(s *System) *rewriteEnforcer {
-	e := &rewriteEnforcer{s: s, rw: NewRewriter(s.policy)}
-	if s.cfg.Metrics != nil {
-		e.rebuilds = s.cfg.Metrics.Counter("core_rewrite_scope_rebuilds_total")
-	}
-	return e
-}
+// Rewriting enforcement: the user query is evaluated raw
+// (store.RawQuerier — no sign consultation) and each match is decided by
+// the Table 2 membership algebra over the policy's allow and deny scope
+// unions, themselves evaluated over the unannotated store through the
+// engine's EvalScope. Signs are never written and writes never
+// re-annotate; the scope sets are part of the store version's snapshot,
+// so a read-mostly workload pays the two scope evaluations once per write.
 
 // NewRewriter compiles a read policy for rewriting enforcement.
 func NewRewriter(p *policy.Policy) *xpath.Rewriter {
@@ -54,9 +33,6 @@ func NewRewriter(p *policy.Policy) *xpath.Rewriter {
 	return rw
 }
 
-func (e *rewriteEnforcer) Mode() EnforceMode    { return EnforceRewrite }
-func (e *rewriteEnforcer) MaintainsSigns() bool { return false }
-
 // scopeUnion folds rule resources into one engine set expression.
 func scopeUnion(paths []*xpath.Path) *store.SetExpr {
 	leaves := make([]*store.SetExpr, len(paths))
@@ -66,42 +42,44 @@ func scopeUnion(paths []*xpath.Path) *store.SetExpr {
 	return store.Combine(store.OpUnion, leaves...)
 }
 
-// scopes returns the allow/deny scope sets for the current store version,
-// re-evaluating them through the engine when stale. Callers hold at least
-// s.mu.RLock (version and store are stable); concurrent readers serialize
-// on e.mu and all but the first rebuilder see a hit.
-func (e *rewriteEnforcer) scopes() (allow, deny map[int64]bool, hit bool, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.built == e.s.version && e.allow != nil {
-		return e.allow, e.deny, true, nil
-	}
-	if e.rebuilds != nil {
-		e.rebuilds.Inc()
-	}
-	allow, err = e.s.engine.EvalScope(scopeUnion(e.rw.Allow))
-	if err != nil {
-		return nil, nil, false, err
-	}
-	deny, err = e.s.engine.EvalScope(scopeUnion(e.rw.Deny))
-	if err != nil {
-		return nil, nil, false, err
-	}
-	e.allow, e.deny, e.built = allow, deny, e.s.version
-	return allow, deny, false, nil
+// scopeSets are the policy's allow and deny scope unions evaluated over
+// one store version.
+type scopeSets struct {
+	allow, deny map[int64]bool
 }
 
-// Request evaluates q raw and applies the all-or-nothing check against
-// the membership algebra. Result shapes and denial texts mirror the
-// materialized paths exactly: Nodes in evaluation order with a labeled
-// first-denial on the tree store, deduplicated ascending IDs with an
-// id-only denial on the relational ones.
-func (e *rewriteEnforcer) Request(ctx context.Context, q *xpath.Path, parent *obs.Span) (*RequestResult, bool, error) {
-	raw, ok := e.s.engine.(store.RawQuerier)
-	if !ok {
-		return nil, false, fmt.Errorf("core: backend %s cannot evaluate unannotated queries", e.s.cfg.Backend)
+// scopes returns the scope sets of the current store version, evaluating
+// them through the engine on first use; hit reports whether they were
+// already built. Callers hold at least s.mu.RLock.
+func (s *System) scopes() (*scopeSets, bool, error) {
+	return s.snap.scopes.get(s.buildScopes)
+}
+
+func (s *System) buildScopes() (*scopeSets, error) {
+	s.scopeRebuilds.Inc()
+	allow, err := s.engine.EvalScope(scopeUnion(s.rw.Allow))
+	if err != nil {
+		return nil, err
 	}
-	allow, deny, hit, err := e.scopes()
+	deny, err := s.engine.EvalScope(scopeUnion(s.rw.Deny))
+	if err != nil {
+		return nil, err
+	}
+	return &scopeSets{allow: allow, deny: deny}, nil
+}
+
+// requestRewrite evaluates q raw and applies the all-or-nothing check
+// against the membership algebra. Result shapes and denial texts mirror
+// the materialized paths exactly: Nodes in evaluation order with a
+// labeled first-denial on the tree store, deduplicated ascending IDs with
+// an id-only denial on the relational ones. The bool reports whether the
+// scope sets were a cache hit.
+func (s *System) requestRewrite(ctx context.Context, q *xpath.Path, parent *obs.Span) (*RequestResult, bool, error) {
+	raw, ok := s.engine.(store.RawQuerier)
+	if !ok {
+		return nil, false, fmt.Errorf("core: backend %s cannot evaluate unannotated queries", s.cfg.Backend)
+	}
+	sc, hit, err := s.scopes()
 	if err != nil {
 		return nil, hit, err
 	}
@@ -112,9 +90,9 @@ func (e *rewriteEnforcer) Request(ctx context.Context, q *xpath.Path, parent *ob
 	sp := obs.Start(parent, "check-access")
 	defer sp.Finish()
 	sp.SetAttr("mode", "rewrite")
-	if !e.s.engine.Relational() {
+	if !s.engine.Relational() {
 		for _, n := range res.Nodes {
-			if !e.rw.Accessible(allow[n.ID], deny[n.ID]) {
+			if !s.rw.Accessible(sc.allow[n.ID], sc.deny[n.ID]) {
 				sp.SetAttr("outcome", "denied")
 				return nil, hit, &DeniedError{ID: n.ID, Label: n.Label}
 			}
@@ -123,7 +101,7 @@ func (e *rewriteEnforcer) Request(ctx context.Context, q *xpath.Path, parent *ob
 		return res, hit, nil
 	}
 	for _, id := range res.IDs {
-		if !e.rw.Accessible(allow[id], deny[id]) {
+		if !s.rw.Accessible(sc.allow[id], sc.deny[id]) {
 			sp.SetAttr("outcome", "denied")
 			return nil, hit, &DeniedError{ID: id}
 		}
@@ -132,17 +110,17 @@ func (e *rewriteEnforcer) Request(ctx context.Context, q *xpath.Path, parent *ob
 	return res, hit, nil
 }
 
-// accessibleIDs derives the accessible element set from the scope sets —
-// the rewriting counterpart of reading materialized signs back, serving
-// AccessibleIDs, Coverage and view export when no signs exist.
-func (e *rewriteEnforcer) accessibleIDs() (map[int64]bool, error) {
-	allow, deny, _, err := e.scopes()
+// rewriteAccessibleIDs derives the accessible element set from the scope
+// sets — the rewriting counterpart of reading materialized signs back,
+// serving AccessibleIDs, Coverage and view export when no signs exist.
+func (s *System) rewriteAccessibleIDs() (map[int64]bool, error) {
+	sc, _, err := s.scopes()
 	if err != nil {
 		return nil, err
 	}
 	out := map[int64]bool{}
-	for _, n := range e.s.Document().Elements() {
-		if e.rw.Accessible(allow[n.ID], deny[n.ID]) {
+	for _, n := range s.Document().Elements() {
+		if s.rw.Accessible(sc.allow[n.ID], sc.deny[n.ID]) {
 			out[n.ID] = true
 		}
 	}

@@ -82,8 +82,7 @@ type Config struct {
 	// tracing (the stages still record their Phases breakdown).
 	Tracer *obs.Tracer
 	// Metrics is attached to the backend store, feeding the store_*
-	// counters and histograms (plus the legacy sqldb_*/nativedb_* names);
-	// nil disables collection.
+	// counters and histograms; nil disables collection.
 	Metrics *obs.Registry
 	// Parallelism bounds the worker pool the annotation engine fans its
 	// independent units out on (per-rule node-set queries on the native
@@ -146,31 +145,30 @@ type System struct {
 	tracer  *obs.Tracer // nil when tracing is off
 	pool    *pool.Pool  // nil forces the sequential reference path
 	loaded  bool
-	// version stamps the store's accessibility state: bumped (under the
-	// exclusive lock) by every load, annotation and update, it invalidates
-	// the query cache.
-	version uint64
-	qc      *queryCache // nil unless Config.QueryCache
-	aud     *audit.Log  // nil when auditing is off
-	// attr caches per-rule sign provenance (which rules match each node),
-	// keyed by version like the query cache; System.Why serves from it.
-	attr attribution
+	// snap is the current store version with its derived artifacts (CAM
+	// query cache, rewrite scope sets, rule attribution); advance replaces
+	// it under the exclusive lock on every load, annotation and update.
+	snap *snapshot
+	aud  *audit.Log // nil when auditing is off
 	// reqHist (indexed grant/deny/error) and annHist are the RED latency
 	// histograms behind store_request_seconds{engine,outcome} and
 	// store_annotate_seconds{engine}; nil without Config.Metrics.
 	reqHist [3]*obs.Histogram
 	annHist *obs.Histogram
-	// Enforcement seam: plan is the planner's construction-time verdict;
-	// enf the active strategy (guarded by mu); signsEnf/rewriteEnf the
-	// built strategies (rewriteEnf nil on engines without RawQuery);
+	// qcHits/qcMisses count query-cache lookups (nil unless
+	// Config.QueryCache and Config.Metrics); scopeRebuilds counts rewrite
+	// scope-set builds (nil without metrics or RawQuery).
+	qcHits, qcMisses, scopeRebuilds *obs.Counter
+	// Enforcement: plan is the planner's construction-time verdict; mode
+	// the active strategy, EnforceSigns or EnforceRewrite (guarded by mu);
+	// rw the compiled policy rewriter (nil on engines without RawQuery);
 	// static the per-query enforceability memo; contains the containment
 	// oracle kept for late reannotator builds at mode flips.
-	plan       EnforcePlan
-	enf        Enforcer
-	signsEnf   *materializedEnforcer
-	rewriteEnf *rewriteEnforcer
-	static     *staticChecker
-	contains   ContainFunc
+	plan     EnforcePlan
+	mode     EnforceMode
+	rw       *xpath.Rewriter
+	static   *staticChecker
+	contains ContainFunc
 	// enfCounts mirror core_enforcer_requests_total{mode,outcome} for the
 	// planner-decision coverage report (live even without metrics).
 	enfCounts   [encModes][3]atomic.Uint64
@@ -204,6 +202,7 @@ func NewSystem(cfg Config) (*System, error) {
 		write:  cfg.Policy.ForAction(policy.ActionWrite),
 		tracer: cfg.Tracer,
 		aud:    cfg.Audit,
+		snap:   &snapshot{},
 	}
 	if cfg.Parallelism != 1 {
 		s.pool = pool.New(cfg.Parallelism)
@@ -211,8 +210,9 @@ func NewSystem(cfg Config) (*System, error) {
 			s.pool.SetMetrics(cfg.Metrics)
 		}
 	}
-	if cfg.QueryCache {
-		s.qc = newQueryCache(cfg.Metrics)
+	if cfg.QueryCache && cfg.Metrics != nil {
+		s.qcHits = cfg.Metrics.Counter("core_qcache_hits_total")
+		s.qcMisses = cfg.Metrics.Counter("core_qcache_misses_total")
 	}
 	contains := ContainFunc(pattern.Contains)
 	if cfg.SchemaAware {
@@ -250,14 +250,12 @@ func NewSystem(cfg Config) (*System, error) {
 		}
 		s.reann = reann
 	}
-	s.signsEnf = &materializedEnforcer{s: s}
+	s.mode = s.plan.Mode
 	if s.plan.RawCapable {
-		s.rewriteEnf = newRewriteEnforcer(s)
-	}
-	if s.plan.Mode == EnforceRewrite {
-		s.enf = s.rewriteEnf
-	} else {
-		s.enf = s.signsEnf
+		s.rw = NewRewriter(s.policy)
+		if cfg.Metrics != nil {
+			s.scopeRebuilds = cfg.Metrics.Counter("core_rewrite_scope_rebuilds_total")
+		}
 	}
 	s.static = newStaticChecker(s.policy, cfg.Schema)
 	if cfg.Metrics != nil {
@@ -379,13 +377,13 @@ func (s *System) Document() *xmltree.Document { return s.doc }
 // Audit returns the attached audit log (nil when auditing is off).
 func (s *System) Audit() *audit.Log { return s.aud }
 
-// Version returns the store's accessibility version stamp: bumped by
-// every load, (re-)annotation and update, it identifies which annotation
-// state a cached artifact or an ops snapshot reflects.
+// Version returns the store's accessibility version: advanced by every
+// load, (re-)annotation and update, it identifies which annotation state
+// the derived artifacts or an ops snapshot reflect.
 func (s *System) Version() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.version
+	return s.snap.version
 }
 
 // Loaded reports whether a document is installed.
@@ -414,7 +412,7 @@ func (s *System) Load(doc *xmltree.Document) error {
 	}
 	s.doc = doc
 	s.loaded = true
-	s.version++
+	s.advance()
 	return nil
 }
 
@@ -458,7 +456,7 @@ func (s *System) annotateLocked(ctx context.Context) (AnnotateStats, error) {
 	if !s.loaded {
 		return AnnotateStats{}, fmt.Errorf("core: no document loaded")
 	}
-	s.version++ // signs are about to change; invalidate the query cache
+	s.advance() // signs are about to change
 	sp := s.startSpan(ctx, "annotate").SetAttr("backend", s.cfg.Backend.String())
 	start := time.Now()
 	stats, err := s.engine.Annotate(obs.ContextWithSpan(ctx, sp), BuildAnnotationQuery(s.policy))
@@ -522,10 +520,10 @@ func (s *System) deleteAndReannotate(u *xpath.Path) (*UpdateReport, error) {
 	if err := s.checkWriteDelete(u); err != nil {
 		return nil, err
 	}
-	if !s.enf.MaintainsSigns() {
+	if s.mode == EnforceRewrite {
 		// Rewriting enforcement: no signs exist, so there is nothing to
-		// re-annotate — the delete applies and the version bump
-		// invalidates the rewriter's scope cache.
+		// re-annotate — the delete applies and advancing the version
+		// drops the rewriter's scope sets.
 		return s.deleteNoSignsLocked(u)
 	}
 	rep := &UpdateReport{}
@@ -622,7 +620,7 @@ func (s *System) deleteAndFullAnnotate(u *xpath.Path) (*UpdateReport, error) {
 	if err := s.checkWriteDelete(u); err != nil {
 		return nil, err
 	}
-	if !s.enf.MaintainsSigns() {
+	if s.mode == EnforceRewrite {
 		return s.deleteNoSignsLocked(u)
 	}
 	if err := s.engine.Begin(); err != nil {
@@ -676,7 +674,7 @@ func (s *System) checkWriteDelete(u *xpath.Path) error {
 // deleted element ids to the engine (relational backends drop the
 // corresponding tuples; the native engine has nothing further to do).
 func (s *System) applyDelete(u *xpath.Path) (map[string][]int64, int, error) {
-	s.version++ // the accessible set is about to change
+	s.advance() // the accessible set is about to change
 	byLabel, total, err := ApplyDeleteTree(s.Document(), u)
 	if err != nil {
 		return nil, 0, err
@@ -706,9 +704,9 @@ func (s *System) insertAndReannotate(parentPath *xpath.Path, tmpl *xmltree.Node)
 	rep.TraceID = root.TraceID().String()
 
 	// Under rewriting enforcement no signs exist: the trigger-selection
-	// and scope-observation phases are skipped entirely and the version
-	// bump below invalidates the rewriter's scope cache instead.
-	maintain := s.enf.MaintainsSigns()
+	// and scope-observation phases are skipped entirely and advancing the
+	// version below drops the rewriter's scope sets instead.
+	maintain := s.mode == EnforceSigns
 	var prep *Reannotation
 	var err error
 	start := time.Now()
@@ -724,7 +722,6 @@ func (s *System) insertAndReannotate(parentPath *xpath.Path, tmpl *xmltree.Node)
 	rep.PrepareTime = time.Since(start)
 
 	start = time.Now()
-	s.version++ // the accessible set is about to change
 	sp := obs.Start(root, "apply-insert")
 	parents, err := xpath.Eval(parentPath, doc)
 	if err != nil {
@@ -735,6 +732,7 @@ func (s *System) insertAndReannotate(parentPath *xpath.Path, tmpl *xmltree.Node)
 		sp.Finish()
 		return nil, err
 	}
+	s.advance() // the accessible set is about to change
 	if err := s.engine.Begin(); err != nil {
 		sp.Finish()
 		return nil, err
@@ -842,38 +840,43 @@ func (s *System) requestEnforced(ctx context.Context, q *xpath.Path, mode Enforc
 	if !s.loaded {
 		return nil, fmt.Errorf("core: no document loaded")
 	}
-	enf, err := s.enforcerForLocked(mode)
+	mode, err := s.resolveModeLocked(mode)
 	if err != nil {
 		return nil, err
 	}
 	sp := s.startSpan(ctx, "request").SetAttr("query", q.String()).
-		SetAttr("backend", s.cfg.Backend.String()).SetAttr("enforce", enf.Mode().String())
+		SetAttr("backend", s.cfg.Backend.String()).SetAttr("enforce", mode.String())
 	defer sp.Finish()
-	res, hit, err := enf.Request(ctx, q, sp)
+	var res *RequestResult
+	var hit bool
+	if mode == EnforceRewrite {
+		res, hit, err = s.requestRewrite(ctx, q, sp)
+	} else {
+		res, hit, err = s.requestSigns(ctx, q, sp)
+	}
 	d := time.Since(start)
 	s.observeRequest(d, err)
-	s.countEnforced(modeIndex(enf.Mode()), err)
-	s.auditRequest(q, res, hit, d, sp, enf.Mode().String(), err)
+	s.countEnforced(modeIndex(mode), err)
+	s.auditRequest(q, res, hit, d, sp, mode.String(), err)
 	return res, err
 }
 
-// enforcerForLocked resolves a per-request mode override against the
+// resolveModeLocked resolves a per-request mode override against the
 // active strategy. Callers hold at least s.mu.RLock.
-func (s *System) enforcerForLocked(mode EnforceMode) (Enforcer, error) {
+func (s *System) resolveModeLocked(mode EnforceMode) (EnforceMode, error) {
 	switch mode {
 	case EnforceSigns:
-		if !s.enf.MaintainsSigns() {
-			return nil, fmt.Errorf("core: signs are not materialized under the active rewrite mode; switch with SetEnforceMode first")
+		if s.mode != EnforceSigns {
+			return 0, fmt.Errorf("core: signs are not materialized under the active rewrite mode; switch with SetEnforceMode first")
 		}
-		return s.signsEnf, nil
 	case EnforceRewrite:
-		if s.rewriteEnf == nil {
-			return nil, fmt.Errorf("core: backend %s cannot evaluate unannotated queries (no RawQuery)", s.cfg.Backend)
+		if s.rw == nil {
+			return 0, fmt.Errorf("core: backend %s cannot evaluate unannotated queries (no RawQuery)", s.cfg.Backend)
 		}
-		return s.rewriteEnf, nil
 	default:
-		return s.enf, nil
+		return s.mode, nil
 	}
+	return mode, nil
 }
 
 // modeIndex maps an enforcement mode to its enfCounts row.
@@ -920,18 +923,13 @@ func (s *System) Plan() EnforcePlan { return s.plan }
 func (s *System) ActiveMode() EnforceMode {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.enf.Mode()
+	return s.mode
 }
 
 // Rewriter returns the compiled policy rewriter (nil on backends that
 // cannot evaluate unannotated queries). Plans and tooling render the
 // composed safe query with it.
-func (s *System) Rewriter() *xpath.Rewriter {
-	if s.rewriteEnf == nil {
-		return nil
-	}
-	return s.rewriteEnf.rw
-}
+func (s *System) Rewriter() *xpath.Rewriter { return s.rw }
 
 // ClassifyQuery returns the static enforceability verdict for q under
 // the active policy and schema.
@@ -963,20 +961,20 @@ func (s *System) SetEnforceMode(mode EnforceMode) error {
 			}
 			s.reann = reann
 		}
-		if s.enf.MaintainsSigns() {
+		if s.mode == EnforceSigns {
 			return nil
 		}
-		s.enf = s.signsEnf
+		s.mode = EnforceSigns
 		if s.loaded {
 			if _, err := s.annotateLocked(context.Background()); err != nil {
 				return err
 			}
 		}
 	case EnforceRewrite:
-		if s.rewriteEnf == nil {
+		if s.rw == nil {
 			return fmt.Errorf("core: backend %s cannot evaluate unannotated queries (no RawQuery)", s.cfg.Backend)
 		}
-		s.enf = s.rewriteEnf
+		s.mode = EnforceRewrite
 	}
 	return nil
 }
@@ -1024,12 +1022,12 @@ func (s *System) accessibleIDsLocked() (map[int64]bool, error) {
 	if !s.loaded {
 		return nil, fmt.Errorf("core: no document loaded")
 	}
-	if !s.enf.MaintainsSigns() {
+	if s.mode == EnforceRewrite {
 		// No signs are materialized under rewriting enforcement; the
 		// accessible set is derived from the rewriter's scope sets.
-		return s.rewriteEnf.accessibleIDs()
+		return s.rewriteAccessibleIDs()
 	}
-	if s.qc != nil {
+	if s.cfg.QueryCache {
 		// Expanding the cached compressed map reproduces the backend's
 		// accessible set exactly (the map was built from it), so view
 		// export, filtered requests and coverage all serve from memory.

@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
+	"xmlac/internal/obs"
 	"xmlac/internal/policy"
 	"xmlac/internal/xmltree"
 	"xmlac/internal/xpath"
@@ -16,8 +16,8 @@ import (
 // Figure 5 fold the per-rule node sets into one UNION/EXCEPT update set,
 // so once the signs are written the provenance is gone. This module
 // re-derives it: every rule's scope is evaluated once per store version
-// (the same version stamp that invalidates the query cache), recorded as
-// a per-node list of matching rule indices, and decisions are explained
+// (the attribution part of the version's snapshot), recorded as a
+// per-node list of matching rule indices, and decisions are explained
 // by replaying the Table 2 conflict-resolution over that list. Because
 // every backend materializes the same semantics (the golden equivalence
 // tests pin this), one tree-side attribution map explains the signs of
@@ -100,16 +100,6 @@ func joinRefs(refs []RuleRef) string {
 	return strings.Join(parts, ",")
 }
 
-// attribution caches, per store version, which rules match each node id.
-// Built lazily under its own lock by callers holding at least the
-// System's read lock (so the document and version are stable); all but
-// the first concurrent builder see a hit.
-type attribution struct {
-	mu    sync.Mutex
-	built uint64            // System version the map reflects
-	byID  map[int64][]int32 // matching rule indices per node, policy order
-}
-
 // ruleLabel names a rule for metrics and WhyDecisions.
 func ruleLabel(i int, r policy.Rule) string {
 	if r.Name != "" {
@@ -118,27 +108,32 @@ func ruleLabel(i int, r policy.Rule) string {
 	return fmt.Sprintf("#%d", i)
 }
 
-// attributionLocked returns the match map for the current version,
-// rebuilding it when stale. Each rebuild evaluates every rule of the
-// optimized read policy once against the document tree, feeding the
-// per-rule core_rule_matches_total counters and
-// core_rule_annotation_seconds histograms.
+// attributionLocked returns the rule-match map of the current store
+// version, building it on first use. Callers hold at least s.mu.RLock.
 func (s *System) attributionLocked() (map[int64][]int32, error) {
-	a := &s.attr
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.built == s.version && a.byID != nil {
-		return a.byID, nil
+	byID, _, err := s.snap.attr.get(func() (*map[int64][]int32, error) {
+		byID, err := ruleMatches(s.policy, s.Document(), s.cfg.Metrics)
+		return &byID, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	doc := s.Document()
+	return *byID, nil
+}
+
+// ruleMatches evaluates every rule of pol once against doc and maps each
+// matched node id to the indices of its matching rules, in policy order.
+// With a registry, each rule's match count and evaluation time feed the
+// core_rule_matches_total and core_rule_annotation_seconds series.
+func ruleMatches(pol *policy.Policy, doc *xmltree.Document, reg *obs.Registry) (map[int64][]int32, error) {
 	byID := make(map[int64][]int32)
-	for i, r := range s.policy.Rules {
+	for i, r := range pol.Rules {
 		start := time.Now()
 		nodes, err := xpath.Eval(r.Resource, doc)
 		if err != nil {
-			return nil, fmt.Errorf("core: attribution of rule %s: %w", ruleLabel(i, r), err)
+			return nil, fmt.Errorf("core: matching rule %s: %w", ruleLabel(i, r), err)
 		}
-		if reg := s.cfg.Metrics; reg != nil {
+		if reg != nil {
 			label := ruleLabel(i, r)
 			reg.Counter(fmt.Sprintf("core_rule_matches_total{rule=%q}", label)).Add(int64(len(nodes)))
 			reg.Histogram(fmt.Sprintf("core_rule_annotation_seconds{rule=%q}", label)).ObserveDuration(time.Since(start))
@@ -147,7 +142,6 @@ func (s *System) attributionLocked() (map[int64][]int32, error) {
 			byID[n.ID] = append(byID[n.ID], int32(i))
 		}
 	}
-	a.byID, a.built = byID, s.version
 	return byID, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"xmlac/internal/hospital"
+	"xmlac/internal/obs"
 	"xmlac/internal/policy"
 	"xmlac/internal/xmltree"
 	"xmlac/internal/xpath"
@@ -143,6 +144,54 @@ func TestInsertWriteCheckOnParents(t *testing.T) {
 	xmltree.AddTemplateText(xmltree.AddTemplateChild(n, "phone"), "555")
 	if _, err := sys.InsertAndReannotate(xpath.MustParse("//staffinfo"), staff); !errors.Is(err, ErrUpdateDenied) {
 		t.Fatalf("expected ErrUpdateDenied, got %v", err)
+	}
+}
+
+// TestRefusedInsertKeepsVersion: an insert the write rules refuse leaves
+// the store unchanged, so it must not advance the version — the derived
+// artifacts survive and the next request is a query-cache hit.
+func TestRefusedInsertKeepsVersion(t *testing.T) {
+	reg := obs.NewRegistry()
+	sys, err := NewSystem(Config{
+		Schema:       hospital.Schema(),
+		Policy:       policy.MustParse(writePolicy),
+		Backend:      BackendNative,
+		Optimize:     true,
+		EnforceWrite: true,
+		QueryCache:   true,
+		Metrics:      reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Load(hospital.Document()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Annotate(); err != nil {
+		t.Fatal(err)
+	}
+	q := xpath.MustParse("//patient/name")
+	if _, err := sys.Request(q); err != nil {
+		t.Fatal(err)
+	}
+	before := sys.Version()
+	staff := xmltree.NewSubtree("staff")
+	n := xmltree.AddTemplateChild(staff, "nurse")
+	xmltree.AddTemplateText(xmltree.AddTemplateChild(n, "sid"), "s1")
+	xmltree.AddTemplateText(xmltree.AddTemplateChild(n, "name"), "x")
+	xmltree.AddTemplateText(xmltree.AddTemplateChild(n, "phone"), "555")
+	if _, err := sys.InsertAndReannotate(xpath.MustParse("//staffinfo"), staff); !errors.Is(err, ErrUpdateDenied) {
+		t.Fatalf("expected ErrUpdateDenied, got %v", err)
+	}
+	if got := sys.Version(); got != before {
+		t.Errorf("refused insert moved the version %d -> %d", before, got)
+	}
+	hits := reg.Counter("core_qcache_hits_total").Value()
+	if _, err := sys.Request(q); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("core_qcache_hits_total").Value(); got != hits+1 {
+		t.Errorf("request after a refused insert was not a cache hit (hits %d -> %d)", hits, got)
 	}
 }
 

@@ -11,21 +11,18 @@ import (
 // signs were written. Off until SetMetrics attaches a registry; Run then
 // evaluates with an xpath.EvalStats counter attached.
 
-// storeMetrics caches the store's metric handles. Each series is a
-// MultiCounter feeding the backend-neutral store_* name — with the
-// engine="native" label — and, while the registry's LegacyNames switch
-// is on, the deprecated nativedb_* alias.
+// storeMetrics caches the store's metric handles. Each series feeds the
+// backend-neutral store_* name with the engine="native" label.
 type storeMetrics struct {
-	queries   obs.MultiCounter
-	visited   obs.MultiCounter
-	matched   obs.MultiCounter
-	annotated obs.MultiCounter
+	queries   *obs.Counter
+	visited   *obs.Counter
+	matched   *obs.Counter
+	annotated *obs.Counter
 }
 
 // SetMetrics attaches a metrics registry to the store. Query execution
-// then feeds the shared store_* counters (labeled engine="native"); the
-// deprecated nativedb_* aliases ride along while the registry's
-// LegacyNames switch is on. nil detaches.
+// then feeds the shared store_* counters (labeled engine="native"). nil
+// detaches.
 func (s *Store) SetMetrics(r *obs.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -34,10 +31,10 @@ func (s *Store) SetMetrics(r *obs.Registry) {
 		return
 	}
 	s.m = &storeMetrics{
-		queries:   r.CounterAliased(`store_queries_total{engine="native"}`, "nativedb_queries_total"),
-		visited:   r.CounterAliased(`store_rows_scanned_total{engine="native"}`, "nativedb_nodes_visited_total"),
-		matched:   r.CounterAliased(`store_rows_matched_total{engine="native"}`, "nativedb_nodes_matched_total"),
-		annotated: r.CounterAliased(`store_signs_written_total{engine="native"}`, "nativedb_nodes_annotated_total"),
+		queries:   r.Counter(`store_queries_total{engine="native"}`),
+		visited:   r.Counter(`store_rows_scanned_total{engine="native"}`),
+		matched:   r.Counter(`store_rows_matched_total{engine="native"}`),
+		annotated: r.Counter(`store_signs_written_total{engine="native"}`),
 	}
 }
 

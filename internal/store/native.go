@@ -219,7 +219,7 @@ func (e *nativeEngine) Rollback() error     { return nil }
 func (e *nativeEngine) InTransaction() bool { return false }
 
 // SetMetrics attaches the registry to the underlying store (feeding the
-// store_* series and the legacy nativedb_* aliases).
+// store_* series).
 func (e *nativeEngine) SetMetrics(r *obs.Registry) { e.st.SetMetrics(r) }
 
 // SetSlowQueryLog is a no-op: the native store has no statement executor.

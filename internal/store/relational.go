@@ -593,8 +593,7 @@ func (e *relationalEngine) Rollback() error     { return e.db.Rollback() }
 func (e *relationalEngine) InTransaction() bool { return e.db.InTransaction() }
 
 // SetMetrics attaches the registry to the underlying database (feeding
-// the store_* series and the legacy sqldb_* aliases) plus the engine's
-// own signs-written counter.
+// the store_* series) plus the engine's own signs-written counter.
 func (e *relationalEngine) SetMetrics(r *obs.Registry) {
 	e.db.SetMetrics(r)
 	if r == nil {

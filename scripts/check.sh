@@ -20,10 +20,11 @@ if grep -rn '"xmlac/internal/sqldb"\|"xmlac/internal/nativedb"' internal/core/*.
 	exit 1
 fi
 
-# The enforcer seam is load-bearing too: the rewriting layer (planner,
-# rewrite enforcer, policy rewriter) must never touch sign internals —
-# the CAM package, annotation-query construction, sign application or
-# the reannotator. Only the materialized enforcer's side of the seam may.
+# The rewriting layer (planner, rewrite request path and scope sets,
+# policy rewriter) must never touch sign internals — the CAM package,
+# annotation-query construction, sign application or the reannotator.
+# Only the signs path (requestSigns, the query cache, the snapshot that
+# holds the CAM) may.
 if grep -n 'xmlac/internal/cam\|BuildAnnotationQuery\|AnnotationQuery\|ApplySigns\|xmltree\.Sign\|Reannotat\|\.Sign\b' \
 	internal/core/rewriter.go internal/core/planner.go internal/xpath/rewrite.go; then
 	echo "check.sh: the rewriting enforcement layer must not reference sign internals" >&2
@@ -41,6 +42,11 @@ go test -race ./...
 # `go test ./...` above runs it; this standalone form is what CI's
 # blocking cross-mode job calls.
 go test -run 'TestCrossModeEquivalence|TestRecursiveSchemaOnlyRewrite|TestStaticDenyFastPath' ./internal/core
+
+# Derived-state snapshot: concurrent readers of one store version must
+# share a single CAM or scope-set build and agree with the Table 2 oracle.
+# Repeated under -race because the build race is timing-dependent.
+go test -race -count=10 -run TestSnapshot ./internal/core
 
 # Differential fuzzing: replay generated statement scripts against the row,
 # column and vectorized engines and require identical results and errors;

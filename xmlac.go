@@ -50,7 +50,7 @@ import (
 )
 
 // Version identifies this release of the library and its commands.
-const Version = "0.8.0"
+const Version = "0.9.0"
 
 // Core model types, re-exported for the public API. See the internal
 // packages for full method documentation.
