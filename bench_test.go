@@ -160,21 +160,16 @@ func requestBenchFactor() float64 {
 }
 
 // benchRequest measures the all-or-nothing request path over the 55-query
-// workload. reference is the unoptimized path (no id routing, per-table
-// sign probes); optimized layers sign-predicate pushdown, id→table routing
-// and the CAM-backed accessibility cache.
+// workload. reference is the uncached path (the translated query, then
+// sign probes routed to each id's owning table); optimized answers the
+// access checks from the CAM-backed accessibility cache.
 func benchRequest(b *testing.B, backend xmlac.Backend, optimized bool) {
 	cfg := core.Config{
-		Schema:   xmark.Schema(),
-		Policy:   bench.MidPolicy().Clone(),
-		Backend:  backend,
-		Optimize: true,
-	}
-	if optimized {
-		cfg.PushdownSigns = true
-		cfg.QueryCache = true
-	} else {
-		cfg.NoIDRouting = true
+		Schema:     xmark.Schema(),
+		Policy:     bench.MidPolicy().Clone(),
+		Backend:    backend,
+		Optimize:   true,
+		QueryCache: optimized,
 	}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
@@ -205,24 +200,20 @@ func BenchmarkFig10_RequestMonetCol(b *testing.B) { benchRequestPair(b, xmlac.Ba
 func BenchmarkFig10_RequestPostgres(b *testing.B) { benchRequestPair(b, xmlac.BackendRow) }
 
 // BenchmarkFig10_RequestRewrite pits the two enforcement strategies
-// against each other on the column store: reference is the fully
-// optimized materialized path (signs + pushdown + CAM cache, the
-// "optimized" side of the pairs above), optimized is the rewriting
-// enforcer over the *unannotated* store — no signs exist, so the system
-// never paid the annotation either (the setup cost outside the timer is
-// Load alone).
+// against each other on the column store: reference is the optimized
+// materialized path (signs + CAM cache, the "optimized" side of the pairs
+// above), optimized is the rewriting enforcer over the *unannotated*
+// store — no signs exist, so the system never paid the annotation either
+// (the setup cost outside the timer is Load alone).
 func BenchmarkFig10_RequestRewrite(b *testing.B) {
 	run := func(b *testing.B, mode core.EnforceMode) {
 		cfg := core.Config{
-			Schema:   xmark.Schema(),
-			Policy:   bench.MidPolicy().Clone(),
-			Backend:  xmlac.BackendColumn,
-			Optimize: true,
-			Enforce:  mode,
-		}
-		if mode == core.EnforceSigns {
-			cfg.PushdownSigns = true
-			cfg.QueryCache = true
+			Schema:     xmark.Schema(),
+			Policy:     bench.MidPolicy().Clone(),
+			Backend:    xmlac.BackendColumn,
+			Optimize:   true,
+			Enforce:    mode,
+			QueryCache: mode == core.EnforceSigns,
 		}
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
@@ -306,13 +297,12 @@ func BenchmarkHotWrite_SignsVsRewrite(b *testing.B) {
 func BenchmarkRequest_AuditOverhead(b *testing.B) {
 	run := func(b *testing.B, log *audit.Log) {
 		cfg := core.Config{
-			Schema:        xmark.Schema(),
-			Policy:        bench.MidPolicy().Clone(),
-			Backend:       xmlac.BackendColumn,
-			Optimize:      true,
-			PushdownSigns: true,
-			QueryCache:    true,
-			Audit:         log,
+			Schema:     xmark.Schema(),
+			Policy:     bench.MidPolicy().Clone(),
+			Backend:    xmlac.BackendColumn,
+			Optimize:   true,
+			QueryCache: true,
+			Audit:      log,
 		}
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
@@ -354,13 +344,12 @@ func BenchmarkRequest_ObservatoryOverhead(b *testing.B) {
 			o.Attach(log)
 		}
 		cfg := core.Config{
-			Schema:        xmark.Schema(),
-			Policy:        bench.MidPolicy().Clone(),
-			Backend:       xmlac.BackendColumn,
-			Optimize:      true,
-			PushdownSigns: true,
-			QueryCache:    true,
-			Audit:         log,
+			Schema:     xmark.Schema(),
+			Policy:     bench.MidPolicy().Clone(),
+			Backend:    xmlac.BackendColumn,
+			Optimize:   true,
+			QueryCache: true,
+			Audit:      log,
 		}
 		sys, err := core.NewSystem(cfg)
 		if err != nil {

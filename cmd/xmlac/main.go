@@ -5,7 +5,7 @@
 // Usage:
 //
 //	xmlac [-dtd file] [-policy file] [-doc file] [-backend xquery|monetsql|monetcol|postgres]
-//	      [-trace] [-explain] [-slowquery dur] [-pushdown] [-qcache] [-enforce auto|signs|rewrite]
+//	      [-trace] [-explain] [-slowquery dur] [-qcache] [-enforce auto|signs|rewrite]
 //	      [-audit file] [-audit-max-bytes n] [-audit-max-files n]
 //	      [-serve addr] [-slo spec] [-users list|demo] [-version] op...
 //
@@ -72,7 +72,6 @@ func main() {
 		explain    = flag.Bool("explain", false, "print the SQL plan before each query (relational backends)")
 		slowQuery  = flag.Duration("slowquery", 0, "log SQL statements slower than this duration to stderr (0 disables)")
 		parallel   = flag.Int("parallel", 0, "annotation worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-		pushdown   = flag.Bool("pushdown", false, "fold the sign check into translated queries (relational backends)")
 		qcache     = flag.Bool("qcache", false, "serve request access checks from a compressed accessibility map")
 		enforce    = flag.String("enforce", "auto", "enforcement strategy: auto (planner decides), signs (materialized annotations) or rewrite (policy composed into each query)")
 		auditFile  = flag.String("audit", "", "append audit events as JSON lines to this file")
@@ -135,7 +134,7 @@ func main() {
 	}
 	cfg := xmlac.Config{
 		Schema: schema, Policy: pol, Backend: be, Optimize: *optimize,
-		PushdownSigns: *pushdown, QueryCache: *qcache, Enforce: mode,
+		QueryCache: *qcache, Enforce: mode,
 	}.WithParallelism(*parallel)
 	reg := xmlac.NewMetricsRegistry()
 	cfg.Metrics = reg
@@ -241,8 +240,8 @@ func main() {
 			}
 		case op == "plan":
 			p := sys.Plan()
-			fmt.Printf("plan: requested=%s mode=%s active=%s recursive=%v raw_capable=%v\n",
-				p.Requested, p.Mode, sys.ActiveMode(), p.Recursive, p.RawCapable)
+			fmt.Printf("plan: requested=%s mode=%s active=%s recursive=%v\n",
+				p.Requested, p.Mode, sys.ActiveMode(), p.Recursive)
 			fmt.Printf("  reason: %s\n", p.Reason)
 			if rw := sys.Rewriter(); rw != nil {
 				fmt.Printf("  accessible set: %s\n", rw.AccessExpr())

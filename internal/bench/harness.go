@@ -429,20 +429,18 @@ var Metrics *obs.Registry
 // -parallel, scripts/bench.sh's before/after comparison).
 var Parallelism int
 
-// PushdownSigns and QueryCache switch the request-path optimizations on for
-// every system the harness builds (cmd/acbench -pushdown / -qcache, the
-// Figure 10 request benchmarks' before/after comparison).
-var PushdownSigns, QueryCache bool
+// QueryCache switches the CAM query cache on for every system the harness
+// builds (cmd/acbench -qcache).
+var QueryCache bool
 
 func newSystem(b core.Backend, pol *policy.Policy) (*core.System, error) {
 	return core.NewSystem(core.Config{
-		Schema:        xmark.Schema(),
-		Policy:        pol.Clone(),
-		Backend:       b,
-		Optimize:      true,
-		Metrics:       Metrics,
-		PushdownSigns: PushdownSigns,
-		QueryCache:    QueryCache,
+		Schema:     xmark.Schema(),
+		Policy:     pol.Clone(),
+		Backend:    b,
+		Optimize:   true,
+		Metrics:    Metrics,
+		QueryCache: QueryCache,
 	}.WithParallelism(Parallelism))
 }
 

@@ -8,7 +8,6 @@ import (
 	"xmlac/internal/dtd"
 	"xmlac/internal/pattern"
 	"xmlac/internal/policy"
-	"xmlac/internal/store"
 	"xmlac/internal/xpath"
 )
 
@@ -16,10 +15,10 @@ import (
 // serves a (policy, schema, backend) triple — and, per query, whether
 // the decision is already determined statically. The materialized
 // pipeline needs schema-aware path expansion for its re-annotation
-// triggers, which never terminates on recursive DTDs; the rewriter needs
-// an engine able to evaluate unannotated queries (store.RawQuerier).
-// EnforceAuto picks signs wherever the paper's pipeline applies and
-// falls back to rewriting where it cannot.
+// triggers, which never terminates on recursive DTDs; the rewriter
+// evaluates unannotated queries (Engine.RawQuery), which every engine
+// serves. EnforceAuto picks signs wherever the paper's pipeline applies
+// and falls back to rewriting where it cannot.
 
 // EnforcePlan is the planner's verdict for one System.
 type EnforcePlan struct {
@@ -37,24 +36,18 @@ type EnforcePlan struct {
 	// handle by evaluation (signs at annotation time, rewriting at scope
 	// time) but the static checker refuses to reason about.
 	ValueDependent bool `json:"value_dependent"`
-	// RawCapable reports whether the backend implements store.RawQuerier,
-	// i.e. whether rewriting enforcement (planned or per-request) is
-	// available at all.
-	RawCapable bool `json:"raw_capable"`
 }
 
-// planEnforcement resolves the configured mode against the policy, the
-// schema and the opened engine.
-func planEnforcement(requested EnforceMode, pol *policy.Policy, schema *dtd.Schema, eng store.Engine) (EnforcePlan, error) {
+// planEnforcement resolves the configured mode against the policy and
+// the schema.
+func planEnforcement(requested EnforceMode, pol *policy.Policy, schema *dtd.Schema) (EnforcePlan, error) {
 	shape := policyShape(pol)
 	an := pattern.Analyze(shape, schema)
-	_, raw := eng.(store.RawQuerier)
 	plan := EnforcePlan{
 		Requested:      requested,
 		Recursive:      an.Recursive,
 		Cycle:          an.Cycle,
 		ValueDependent: an.ValueDependent,
-		RawCapable:     raw,
 	}
 	switch requested {
 	case EnforceSigns:
@@ -63,18 +56,12 @@ func planEnforcement(requested EnforceMode, pol *policy.Policy, schema *dtd.Sche
 		}
 		plan.Mode, plan.Reason = EnforceSigns, "signs requested"
 	case EnforceRewrite:
-		if !raw {
-			return plan, fmt.Errorf("core: backend %s cannot evaluate unannotated queries (no RawQuery); rewriting enforcement unavailable", eng.Name())
-		}
 		plan.Mode, plan.Reason = EnforceRewrite, "rewrite requested"
 	default:
-		switch {
-		case an.Recursive && raw:
+		if an.Recursive {
 			plan.Mode = EnforceRewrite
 			plan.Reason = fmt.Sprintf("recursive schema (cycle %v): sign expansion does not terminate, rewriting does", an.Cycle)
-		case an.Recursive:
-			return plan, fmt.Errorf("core: recursive schema (cycle %v) needs rewriting enforcement, but backend %s cannot evaluate unannotated queries", an.Cycle, eng.Name())
-		default:
+		} else {
 			plan.Mode = EnforceSigns
 			plan.Reason = "non-recursive schema: materialized signs serve reads at annotation cost paid once"
 		}

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"slices"
-
 	"xmlac/internal/cam"
 	"xmlac/internal/obs"
 	"xmlac/internal/policy"
+	"xmlac/internal/store"
+	"xmlac/internal/xmltree"
 	"xmlac/internal/xpath"
 )
 
@@ -63,42 +63,8 @@ func (s *System) requestCached(q *xpath.Path, parent *obs.Span) (*RequestResult,
 	if err != nil {
 		return nil, hit, err
 	}
-	sp = obs.Start(parent, "check-access")
-	defer sp.Finish()
-	sp.SetAttr("mode", "qcache")
-	if !s.engine.Relational() {
-		// Mirror requestNative: check in document order, report the first
-		// inaccessible node with its label.
-		for _, n := range nodes {
-			if !acc.Accessible(n) {
-				sp.SetAttr("outcome", "denied")
-				return nil, hit, &DeniedError{ID: n.ID, Label: n.Label}
-			}
-		}
-		sp.SetAttr("outcome", "granted")
-		return &RequestResult{Nodes: nodes, Checked: len(nodes)}, hit, nil
-	}
-	// Mirror requestRelational: ascending id order, id-only error text.
-	byID := make(map[int64]bool, len(nodes))
-	idList := make([]int64, 0, len(nodes))
-	accessible := make(map[int64]bool, len(nodes))
-	for _, n := range nodes {
-		if byID[n.ID] {
-			continue
-		}
-		byID[n.ID] = true
-		idList = append(idList, n.ID)
-		if acc.Accessible(n) {
-			accessible[n.ID] = true
-		}
-	}
-	slices.Sort(idList)
-	for _, id := range idList {
-		if !accessible[id] {
-			sp.SetAttr("outcome", "denied")
-			return nil, hit, &DeniedError{ID: id}
-		}
-	}
-	sp.SetAttr("outcome", "granted")
-	return &RequestResult{IDs: idList, Checked: len(idList)}, hit, nil
+	res, err := store.Check(parent, "qcache", &RequestResult{Nodes: nodes}, s.engine.Relational(), store.Decision{
+		Accessible: func(_ int64, n *xmltree.Node) bool { return acc.Accessible(n) },
+	})
+	return res, hit, err
 }

@@ -13,6 +13,8 @@ import (
 	"xmlac/internal/policy"
 	"xmlac/internal/shred"
 	"xmlac/internal/store"
+	"xmlac/internal/store/storetest"
+	"xmlac/internal/xmark"
 	"xmlac/internal/xmltree"
 	"xmlac/internal/xpath"
 )
@@ -180,16 +182,20 @@ rule R1 allow //r
 		t.Fatalf("native Checked = %d, len(Nodes) = %d, want 3", nres.Checked, len(nres.Nodes))
 	}
 
-	modes := map[string]func(*Config){
-		"reference": func(c *Config) { c.NoIDRouting = true },
+	// "reference" is the all-tables sign probe, reached as the fallback for
+	// ids the owner index does not know.
+	modes := map[string]func(*testing.T, *System){
+		"reference": forgetOwners,
 		"routed":    nil,
-		"pushdown":  func(c *Config) { c.PushdownSigns = true },
-		"qcache":    func(c *Config) { c.QueryCache = true },
+		"qcache":    nil,
 	}
 	for _, b := range []Backend{BackendColumn, BackendRow} {
-		for name, mod := range modes {
+		for name, prep := range modes {
 			t.Run(b.String()+"/"+name, func(t *testing.T) {
-				sys := build(t, b, mod)
+				sys := build(t, b, func(c *Config) { c.QueryCache = name == "qcache" })
+				if prep != nil {
+					prep(t, sys)
+				}
 				// The raw translated SQL really does return duplicate rows
 				// (one per witness t); that is what Checked must not count.
 				rel := sys.Engine().(store.Relational)
@@ -214,39 +220,58 @@ rule R1 allow //r
 				if res.Checked != nres.Checked {
 					t.Errorf("relational Checked %d != native Checked %d", res.Checked, nres.Checked)
 				}
+				bad, err := storetest.Mismatches(sys, policy.MustParse(pol), []*xpath.Path{q})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, line := range bad {
+					t.Error(line)
+				}
 			})
 		}
 	}
 }
 
+// forgetOwners empties a relational system's owner index, so every sign
+// probe takes the all-tables fallback.
+func forgetOwners(t *testing.T, sys *System) {
+	t.Helper()
+	m := sys.Engine().(store.Relational).Mapping()
+	for _, n := range sys.Document().Elements() {
+		m.ForgetOwner(n.ID)
+	}
+	if got := m.OwnerRanges(); got != 0 {
+		t.Fatalf("owner index keeps %d ranges after forgetting every id", got)
+	}
+}
+
 // TestRequestSpanOutcomesAndModes checks the check-access span's outcome
-// and mode attributes across the optimized paths.
+// and mode attributes on the relational request paths, and that the
+// answers under the span are the oracle's.
 func TestRequestSpanOutcomesAndModes(t *testing.T) {
 	granted := xpath.MustParse("//patient/name")
 	denied := xpath.MustParse("//patient")
 
 	cases := []struct {
-		name string
-		mod  func(*Config)
-		mode string
+		name   string
+		cached bool
+		prep   func(*testing.T, *System)
+		mode   string
 	}{
-		{"reference", func(c *Config) { c.NoIDRouting = true }, "all-tables"},
-		{"routed", nil, "routed"},
-		{"pushdown", func(c *Config) { c.PushdownSigns = true }, "pushdown"},
-		{"qcache", func(c *Config) { c.QueryCache = true }, "qcache"},
+		{"reference", false, forgetOwners, "routed"},
+		{"routed", false, nil, "routed"},
+		{"qcache", true, nil, "qcache"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			col := &obs.Collector{}
 			cfg := Config{
-				Schema:   hospital.Schema(),
-				Policy:   policy.MustParse(table1Policy),
-				Backend:  BackendRow,
-				Optimize: true,
-				Tracer:   obs.NewTracer(col),
-			}
-			if tc.mod != nil {
-				tc.mod(&cfg)
+				Schema:     hospital.Schema(),
+				Policy:     policy.MustParse(table1Policy),
+				Backend:    BackendRow,
+				Optimize:   true,
+				QueryCache: tc.cached,
+				Tracer:     obs.NewTracer(col),
 			}
 			sys, err := NewSystem(cfg)
 			if err != nil {
@@ -257,6 +282,9 @@ func TestRequestSpanOutcomesAndModes(t *testing.T) {
 			}
 			if _, err := sys.Annotate(); err != nil {
 				t.Fatal(err)
+			}
+			if tc.prep != nil {
+				tc.prep(t, sys)
 			}
 
 			col.Reset()
@@ -285,59 +313,122 @@ func TestRequestSpanOutcomesAndModes(t *testing.T) {
 			if got := check.Attr("outcome"); got != "denied" {
 				t.Errorf("outcome = %v, want denied", got)
 			}
+
+			bad, err := storetest.Mismatches(sys, policy.MustParse(table1Policy), []*xpath.Path{granted, denied})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, line := range bad {
+				t.Error(line)
+			}
 		})
 	}
 }
 
 // TestRoutedRequestsSurviveDeletes checks that id routing stays correct
-// after deletes drop ids from the owner index: routed results must match a
-// NoIDRouting reference system that saw the same update.
+// after deletes drop ids from the owner index and an insert adds ids the
+// shredder never saw: after the updates, every answer, cached or not,
+// must be the oracle's on the updated document. The inserted patients get
+// the highest ids while sitting before later departments in document
+// order, so the relational results must be sorted, not merely deduplicated.
 func TestRoutedRequestsSurviveDeletes(t *testing.T) {
-	queries := []string{"//patient/name", "//patient", "//regular", "//doctor", "//treatment"}
+	patient := xmltree.NewSubtree("patient")
+	xmltree.AddTemplateText(xmltree.AddTemplateChild(patient, "psn"), "900")
+	xmltree.AddTemplateText(xmltree.AddTemplateChild(patient, "name"), "inserted")
+	regular := xmltree.AddTemplateChild(xmltree.AddTemplateChild(patient, "treatment"), "regular")
+	xmltree.AddTemplateText(xmltree.AddTemplateChild(regular, "med"), "celecoxib")
+	xmltree.AddTemplateText(xmltree.AddTemplateChild(regular, "bill"), "50")
+	var queries []*xpath.Path
+	for _, qs := range []string{"//patient/name", "//patient", "//regular", "//doctor", "//treatment", "//psn", "//bill"} {
+		queries = append(queries, xpath.MustParse(qs))
+	}
 	for _, b := range []Backend{BackendColumn, BackendRow} {
 		t.Run(b.String(), func(t *testing.T) {
-			build := func(noRoute bool) *System {
+			for _, cached := range []bool{false, true} {
 				sys, err := NewSystem(Config{
 					Schema: hospital.Schema(), Policy: policy.MustParse(table1Policy),
-					Backend: b, Optimize: true, NoIDRouting: noRoute,
+					Backend: b, Optimize: true, QueryCache: cached,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := sys.Load(hospital.Document()); err != nil {
+				if err := sys.Load(hospital.Generate(hospital.GenOptions{
+					Seed: 5, Departments: 2, PatientsPerDept: 6, StaffPerDept: 2,
+				})); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := sys.Annotate(); err != nil {
 					t.Fatal(err)
 				}
-				return sys
-			}
-			ref, routed := build(true), build(false)
-			if got := routed.Engine().(store.Relational).Mapping().OwnerRanges(); got == 0 {
-				t.Fatal("owner index is empty after load")
-			}
-			del := xpath.MustParse("//patient/treatment")
-			if _, err := ref.DeleteAndReannotate(del); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := routed.DeleteAndReannotate(del); err != nil {
-				t.Fatal(err)
-			}
-			for _, qs := range queries {
-				q := xpath.MustParse(qs)
-				rres, rerr := ref.Request(q)
-				ores, oerr := routed.Request(q)
-				if (rerr == nil) != (oerr == nil) || (rerr != nil && rerr.Error() != oerr.Error()) {
-					t.Errorf("%s: ref err %v, routed err %v", qs, rerr, oerr)
-					continue
+				if sys.Engine().(store.Relational).Mapping().OwnerRanges() == 0 {
+					t.Fatal("owner index is empty after load")
 				}
-				if rerr != nil {
-					continue
+				if _, err := sys.DeleteAndReannotate(xpath.MustParse("//patient/treatment")); err != nil {
+					t.Fatal(err)
 				}
-				if !slices.Equal(rres.IDs, ores.IDs) || rres.Checked != ores.Checked {
-					t.Errorf("%s: ref (%v, %d) != routed (%v, %d)", qs, rres.IDs, rres.Checked, ores.IDs, ores.Checked)
+				if _, err := sys.InsertAndReannotate(xpath.MustParse("//patients"), patient); err != nil {
+					t.Fatal(err)
+				}
+				bad, err := storetest.Mismatches(sys, policy.MustParse(table1Policy), queries)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, line := range bad {
+					t.Errorf("QueryCache=%v: %s", cached, line)
 				}
 			}
 		})
+	}
+}
+
+// TestAllTablesFallbackMatchesOracle drives the all-tables sign probe end
+// to end: with the owner index emptied, no id can be routed, so every
+// relational request probes every table — and must still answer exactly
+// as the Table 2 oracle does, on both fixtures under all four semantics.
+func TestAllTablesFallbackMatchesOracle(t *testing.T) {
+	fixtures := []struct {
+		name   string
+		schema *dtd.Schema
+		doc    *xmltree.Document
+		pol    string
+	}{
+		{"hospital", hospital.Schema(), hospital.Generate(hospital.GenOptions{
+			Seed: 2, Departments: 2, PatientsPerDept: 10, StaffPerDept: 4,
+		}), table1Policy},
+		{"xmark", xmark.Schema(), xmark.Generate(xmark.Options{Factor: 0.002, Seed: 3}), xmarkTestPolicy},
+	}
+	for _, fx := range fixtures {
+		for _, ds := range []policy.Effect{policy.Deny, policy.Allow} {
+			for _, cr := range []policy.Effect{policy.Deny, policy.Allow} {
+				for _, b := range []Backend{BackendColumn, BackendVector, BackendRow} {
+					t.Run(fmt.Sprintf("%s/ds=%v/cr=%v/%v", fx.name, ds, cr, b), func(t *testing.T) {
+						pol := policy.MustParse(fx.pol)
+						pol.Default, pol.Conflict = ds, cr
+						sys, err := NewSystem(Config{Schema: fx.schema, Policy: pol.Clone(), Backend: b, Optimize: true})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := sys.Load(fx.doc.Clone()); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := sys.Annotate(); err != nil {
+							t.Fatal(err)
+						}
+						forgetOwners(t, sys)
+						var queries []*xpath.Path
+						for _, qs := range crossModeQueries[fx.name] {
+							queries = append(queries, xpath.MustParse(qs))
+						}
+						bad, err := storetest.Mismatches(sys, pol, queries)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, line := range bad {
+							t.Error(line)
+						}
+					})
+				}
+			}
+		}
 	}
 }

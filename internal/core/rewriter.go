@@ -2,16 +2,16 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"xmlac/internal/obs"
 	"xmlac/internal/policy"
 	"xmlac/internal/store"
+	"xmlac/internal/xmltree"
 	"xmlac/internal/xpath"
 )
 
 // Rewriting enforcement: the user query is evaluated raw
-// (store.RawQuerier — no sign consultation) and each match is decided by
+// (Engine.RawQuery — no sign consultation) and each match is decided by
 // the Table 2 membership algebra over the policy's allow and deny scope
 // unions, themselves evaluated over the unannotated store through the
 // engine's EvalScope. Signs are never written and writes never
@@ -70,44 +70,21 @@ func (s *System) buildScopes() (*scopeSets, error) {
 
 // requestRewrite evaluates q raw and applies the all-or-nothing check
 // against the membership algebra. Result shapes and denial texts mirror
-// the materialized paths exactly: Nodes in evaluation order with a
-// labeled first-denial on the tree store, deduplicated ascending IDs with
-// an id-only denial on the relational ones. The bool reports whether the
-// scope sets were a cache hit.
+// the materialized paths exactly, since both go through store.Check. The
+// bool reports whether the scope sets were a cache hit.
 func (s *System) requestRewrite(ctx context.Context, q *xpath.Path, parent *obs.Span) (*RequestResult, bool, error) {
-	raw, ok := s.engine.(store.RawQuerier)
-	if !ok {
-		return nil, false, fmt.Errorf("core: backend %s cannot evaluate unannotated queries", s.cfg.Backend)
-	}
 	sc, hit, err := s.scopes()
 	if err != nil {
 		return nil, hit, err
 	}
-	res, err := raw.RawQuery(obs.ContextWithSpan(ctx, parent), q)
+	raw, err := s.engine.RawQuery(obs.ContextWithSpan(ctx, parent), q)
 	if err != nil {
 		return nil, hit, err
 	}
-	sp := obs.Start(parent, "check-access")
-	defer sp.Finish()
-	sp.SetAttr("mode", "rewrite")
-	if !s.engine.Relational() {
-		for _, n := range res.Nodes {
-			if !s.rw.Accessible(sc.allow[n.ID], sc.deny[n.ID]) {
-				sp.SetAttr("outcome", "denied")
-				return nil, hit, &DeniedError{ID: n.ID, Label: n.Label}
-			}
-		}
-		sp.SetAttr("outcome", "granted")
-		return res, hit, nil
-	}
-	for _, id := range res.IDs {
-		if !s.rw.Accessible(sc.allow[id], sc.deny[id]) {
-			sp.SetAttr("outcome", "denied")
-			return nil, hit, &DeniedError{ID: id}
-		}
-	}
-	sp.SetAttr("outcome", "granted")
-	return res, hit, nil
+	res, err := store.Check(parent, "rewrite", raw, s.engine.Relational(), store.Decision{
+		Accessible: func(id int64, _ *xmltree.Node) bool { return s.rw.Accessible(sc.allow[id], sc.deny[id]) },
+	})
+	return res, hit, err
 }
 
 // rewriteAccessibleIDs derives the accessible element set from the scope

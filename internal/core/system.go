@@ -90,9 +90,10 @@ type Config struct {
 	// ones). 0 selects GOMAXPROCS; 1 forces the sequential reference path,
 	// which produces byte-identical sign columns.
 	Parallelism int
-	// PushdownSigns folds the access check of relational requests into the
-	// translated query (shred.TranslateAccessible) instead of issuing
-	// per-table sign-probe batches. Result-identical to the reference path.
+	// PushdownSigns has no effect.
+	//
+	// Deprecated: sign-predicate pushdown was removed; the field stays so
+	// existing configurations still compile.
 	PushdownSigns bool
 	// QueryCache answers request access checks from a compressed
 	// accessibility map (internal/cam) materialized after annotation and
@@ -100,11 +101,6 @@ type Config struct {
 	// native and the relational backends. Result-identical to the
 	// uncached paths.
 	QueryCache bool
-	// NoIDRouting disables id→table routing of the relational sign probes,
-	// restoring the reference behavior of probing every table of the
-	// mapping. Routing is on by default because each universal id lives in
-	// exactly one table.
-	NoIDRouting bool
 	// Enforce selects the enforcement strategy: EnforceSigns is the
 	// paper's materialized pipeline, EnforceRewrite composes the policy
 	// into each query over the unannotated store, and EnforceAuto (the
@@ -157,11 +153,11 @@ type System struct {
 	annHist *obs.Histogram
 	// qcHits/qcMisses count query-cache lookups (nil unless
 	// Config.QueryCache and Config.Metrics); scopeRebuilds counts rewrite
-	// scope-set builds (nil without metrics or RawQuery).
+	// scope-set builds (nil without metrics).
 	qcHits, qcMisses, scopeRebuilds *obs.Counter
 	// Enforcement: plan is the planner's construction-time verdict; mode
 	// the active strategy, EnforceSigns or EnforceRewrite (guarded by mu);
-	// rw the compiled policy rewriter (nil on engines without RawQuery);
+	// rw the compiled policy rewriter;
 	// static the per-query enforceability memo; contains the containment
 	// oracle kept for late reannotator builds at mode flips.
 	plan     EnforcePlan
@@ -223,13 +219,11 @@ func NewSystem(cfg Config) (*System, error) {
 		s.policy, s.removed = RemoveRedundantWith(s.policy, contains)
 	}
 	eng, err := store.Open(cfg.Backend.String(), store.Options{
-		DocName:       cfg.DocName,
-		Schema:        cfg.Schema,
-		Default:       defaultSign(s.policy),
-		Metrics:       cfg.Metrics,
-		Pool:          s.pool,
-		PushdownSigns: cfg.PushdownSigns,
-		NoIDRouting:   cfg.NoIDRouting,
+		DocName: cfg.DocName,
+		Schema:  cfg.Schema,
+		Default: defaultSign(s.policy),
+		Metrics: cfg.Metrics,
+		Pool:    s.pool,
 	})
 	if err != nil {
 		return nil, err
@@ -239,7 +233,7 @@ func NewSystem(cfg Config) (*System, error) {
 	// all: rewriting enforcement never materializes signs, so the
 	// reannotator — whose schema-aware expansion rejects recursive DTDs —
 	// is only constructed when the plan maintains signs.
-	s.plan, err = planEnforcement(cfg.Enforce, s.policy, cfg.Schema, eng)
+	s.plan, err = planEnforcement(cfg.Enforce, s.policy, cfg.Schema)
 	if err != nil {
 		return nil, err
 	}
@@ -251,11 +245,9 @@ func NewSystem(cfg Config) (*System, error) {
 		s.reann = reann
 	}
 	s.mode = s.plan.Mode
-	if s.plan.RawCapable {
-		s.rw = NewRewriter(s.policy)
-		if cfg.Metrics != nil {
-			s.scopeRebuilds = cfg.Metrics.Counter("core_rewrite_scope_rebuilds_total")
-		}
+	s.rw = NewRewriter(s.policy)
+	if cfg.Metrics != nil {
+		s.scopeRebuilds = cfg.Metrics.Counter("core_rewrite_scope_rebuilds_total")
 	}
 	s.static = newStaticChecker(s.policy, cfg.Schema)
 	if cfg.Metrics != nil {
@@ -539,34 +531,12 @@ func (s *System) deleteAndReannotate(u *xpath.Path) (*UpdateReport, error) {
 	rep.Triggered = s.reann.RuleNames(prep.Triggered)
 	rep.PrepareTime = time.Since(start)
 
-	// The tuple deletions and per-tuple sign updates form one atomic unit:
-	// a failure mid-way must not leave the store half-updated. The native
-	// engine's transaction scope is an accepted no-op (the tree update is
-	// the commit).
-	if err := s.engine.Begin(); err != nil {
-		return nil, err
-	}
-	start = time.Now()
-	sp := obs.Start(root, "apply-delete")
-	_, total, err := s.applyDelete(u)
-	sp.Finish()
-	if err != nil {
-		return nil, s.abortEngine(err)
-	}
-	rep.DeletedNodes = total
-	rep.UpdateTime = time.Since(start)
-
-	start = time.Now()
-	rep.Stats, err = prep.complete(s.doc, s.engine, root)
-	rep.ReannotateTime = time.Since(start)
-	if err != nil {
-		return nil, s.abortEngine(err)
-	}
-	if err := s.engine.Commit(); err != nil {
-		return nil, err
-	}
-	rep.finishPhases()
-	return rep, nil
+	return s.applyDeleteAndCommit(u, root, rep, func() (err error) {
+		start := time.Now()
+		rep.Stats, err = prep.complete(s.doc, s.engine, root)
+		rep.ReannotateTime = time.Since(start)
+		return err
+	})
 }
 
 // deleteNoSignsLocked applies a delete without any sign maintenance —
@@ -578,18 +548,66 @@ func (s *System) deleteNoSignsLocked(u *xpath.Path) (*UpdateReport, error) {
 	root := s.tracer.Start("delete-reannotate").SetAttr("update", u.String()).SetAttr("enforce", "rewrite")
 	defer root.Finish()
 	rep.TraceID = root.TraceID().String()
+	return s.applyDeleteAndCommit(u, root, rep, nil)
+}
+
+// deleteAndFullAnnotate is DeleteAndFullAnnotate without the audit
+// wrapper (see reannotate.go).
+func (s *System) deleteAndFullAnnotate(u *xpath.Path) (*UpdateReport, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.loaded {
+		return nil, fmt.Errorf("core: no document loaded")
+	}
+	if err := s.checkWriteDelete(u); err != nil {
+		return nil, err
+	}
+	if s.mode == EnforceRewrite {
+		return s.deleteNoSignsLocked(u)
+	}
+	rep := &UpdateReport{}
+	root := s.tracer.Start("delete-fannot").SetAttr("update", u.String())
+	defer root.Finish()
+	rep.TraceID = root.TraceID().String()
+	// The inner full annotation runs as a child of this round trip's root,
+	// so the baseline path renders as one tree too.
+	return s.applyDeleteAndCommit(u, root, rep, func() error {
+		stats, err := s.annotateLocked(obs.ContextWithSpan(context.Background(), root))
+		rep.Stats, rep.ReannotateTime = stats, stats.Duration
+		return err
+	})
+}
+
+// applyDeleteAndCommit is the shared tail of the delete round trips. The
+// tuple deletions and the sign maintenance that follows them (annotate,
+// nil when no signs are kept) form one atomic unit: a failure mid-way
+// rolls the engine back instead of leaving the store half-updated. The
+// native engine's transaction scope is an accepted no-op (the tree update
+// is the commit).
+func (s *System) applyDeleteAndCommit(u *xpath.Path, root *obs.Span, rep *UpdateReport, annotate func() error) (*UpdateReport, error) {
 	if err := s.engine.Begin(); err != nil {
 		return nil, err
 	}
+	// The matched subtrees leave the tree and their element ids go to the
+	// engine (the relational backends drop the corresponding tuples).
 	start := time.Now()
 	sp := obs.Start(root, "apply-delete")
-	_, total, err := s.applyDelete(u)
+	s.advance() // the accessible set is about to change
+	byLabel, total, err := ApplyDeleteTree(s.Document(), u)
+	if err == nil {
+		_, err = s.engine.DeleteRows(byLabel)
+	}
 	sp.Finish()
 	if err != nil {
 		return nil, s.abortEngine(err)
 	}
 	rep.DeletedNodes = total
 	rep.UpdateTime = time.Since(start)
+	if annotate != nil {
+		if err := annotate(); err != nil {
+			return nil, s.abortEngine(err)
+		}
+	}
 	if err := s.engine.Commit(); err != nil {
 		return nil, err
 	}
@@ -609,52 +627,6 @@ func (s *System) abortEngine(err error) error {
 	return err
 }
 
-// deleteAndFullAnnotate is DeleteAndFullAnnotate without the audit
-// wrapper (see reannotate.go).
-func (s *System) deleteAndFullAnnotate(u *xpath.Path) (*UpdateReport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.loaded {
-		return nil, fmt.Errorf("core: no document loaded")
-	}
-	if err := s.checkWriteDelete(u); err != nil {
-		return nil, err
-	}
-	if s.mode == EnforceRewrite {
-		return s.deleteNoSignsLocked(u)
-	}
-	if err := s.engine.Begin(); err != nil {
-		return nil, err
-	}
-	rep := &UpdateReport{}
-	root := s.tracer.Start("delete-fannot").SetAttr("update", u.String())
-	defer root.Finish()
-	rep.TraceID = root.TraceID().String()
-	start := time.Now()
-	sp := obs.Start(root, "apply-delete")
-	_, total, err := s.applyDelete(u)
-	sp.Finish()
-	if err != nil {
-		return nil, s.abortEngine(err)
-	}
-	rep.DeletedNodes = total
-	rep.UpdateTime = time.Since(start)
-
-	// The inner full annotation runs as a child of this round trip's root,
-	// so the baseline path renders as one tree too.
-	stats, err := s.annotateLocked(obs.ContextWithSpan(context.Background(), root))
-	rep.Stats = stats
-	rep.ReannotateTime = stats.Duration
-	if err != nil {
-		return nil, s.abortEngine(err)
-	}
-	if err := s.engine.Commit(); err != nil {
-		return nil, err
-	}
-	rep.finishPhases()
-	return rep, nil
-}
-
 // checkWriteDelete verifies write access to the subtree roots a delete
 // update would remove. Deleting a node carries its subtree with it; the
 // check is on the targeted roots, matching the granularity of the update
@@ -668,21 +640,6 @@ func (s *System) checkWriteDelete(u *xpath.Path) error {
 		return err
 	}
 	return s.checkWriteAccess(u.String(), targets)
-}
-
-// applyDelete removes the matched subtrees from the tree and hands the
-// deleted element ids to the engine (relational backends drop the
-// corresponding tuples; the native engine has nothing further to do).
-func (s *System) applyDelete(u *xpath.Path) (map[string][]int64, int, error) {
-	s.advance() // the accessible set is about to change
-	byLabel, total, err := ApplyDeleteTree(s.Document(), u)
-	if err != nil {
-		return nil, 0, err
-	}
-	if _, err := s.engine.DeleteRows(byLabel); err != nil {
-		return nil, 0, err
-	}
-	return byLabel, total, nil
 }
 
 // insertAndReannotate is InsertAndReannotate without the audit wrapper
@@ -810,8 +767,7 @@ func (s *System) RequestCtx(ctx context.Context, q *xpath.Path) (*RequestResult,
 // RequestMode evaluates one request under an explicit enforcement mode,
 // overriding the active strategy for this call only. Requesting signs
 // while the system runs rewriting is refused (no signs are materialized
-// to check against); requesting rewriting works whenever the backend can
-// evaluate unannotated queries.
+// to check against); requesting rewriting always works.
 func (s *System) RequestMode(q *xpath.Path, mode EnforceMode) (*RequestResult, error) {
 	return s.RequestModeCtx(context.Background(), q, mode)
 }
@@ -869,14 +825,11 @@ func (s *System) resolveModeLocked(mode EnforceMode) (EnforceMode, error) {
 		if s.mode != EnforceSigns {
 			return 0, fmt.Errorf("core: signs are not materialized under the active rewrite mode; switch with SetEnforceMode first")
 		}
+		return mode, nil
 	case EnforceRewrite:
-		if s.rw == nil {
-			return 0, fmt.Errorf("core: backend %s cannot evaluate unannotated queries (no RawQuery)", s.cfg.Backend)
-		}
-	default:
-		return s.mode, nil
+		return mode, nil
 	}
-	return mode, nil
+	return s.mode, nil
 }
 
 // modeIndex maps an enforcement mode to its enfCounts row.
@@ -926,9 +879,8 @@ func (s *System) ActiveMode() EnforceMode {
 	return s.mode
 }
 
-// Rewriter returns the compiled policy rewriter (nil on backends that
-// cannot evaluate unannotated queries). Plans and tooling render the
-// composed safe query with it.
+// Rewriter returns the compiled policy rewriter. Plans and tooling render
+// the composed safe query with it.
 func (s *System) Rewriter() *xpath.Rewriter { return s.rw }
 
 // ClassifyQuery returns the static enforceability verdict for q under
@@ -971,9 +923,6 @@ func (s *System) SetEnforceMode(mode EnforceMode) error {
 			}
 		}
 	case EnforceRewrite:
-		if s.rw == nil {
-			return fmt.Errorf("core: backend %s cannot evaluate unannotated queries (no RawQuery)", s.cfg.Backend)
-		}
 		s.mode = EnforceRewrite
 	}
 	return nil

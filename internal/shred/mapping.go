@@ -135,8 +135,8 @@ func (m *Mapping) DDL() string {
 
 // IndexDDL emits CREATE INDEX statements over the pid and s columns of every
 // table, in declaration order. The pid index resolves the parent-child joins
-// of translated queries; the s index resolves sign predicates (pushdown
-// queries, accessible-id sweeps) without full scans. Kept separate from
+// of translated queries; the s index resolves sign predicates (sign
+// probes, accessible-id sweeps) without full scans. Kept separate from
 // DDL() so the shredded SQL scripts (Table 5 sizes, Figure 9 loading) retain
 // the paper's shape; IntoDB executes both.
 func (m *Mapping) IndexDDL() string {

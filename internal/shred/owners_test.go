@@ -8,7 +8,6 @@ import (
 	"xmlac/internal/dtd"
 	"xmlac/internal/sqldb"
 	"xmlac/internal/xmltree"
-	"xmlac/internal/xpath"
 )
 
 func TestOwnerIndexAscendingCoalesces(t *testing.T) {
@@ -154,42 +153,6 @@ func TestMappingWithoutOwnerIndexDegrades(t *testing.T) {
 	}
 	if m.OwnerRanges() != 0 {
 		t.Errorf("OwnerRanges = %d", m.OwnerRanges())
-	}
-}
-
-func TestTranslateAccessibleAddsSignPredicatePerBranch(t *testing.T) {
-	schema := dtd.MustParse(`
-<!ELEMENT a (b*, c*)>
-<!ELEMENT b (d*)>
-<!ELEMENT c (d*)>
-<!ELEMENT d (#PCDATA)>
-`)
-	m, err := BuildMapping(schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := xpath.MustParse("//d")
-	plain, err := Translate(m, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	signed, err := TranslateAccessible(m, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	branches := strings.Count(plain, "SELECT")
-	if branches != 2 {
-		t.Fatalf("expected 2 UNION branches, got %d:\n%s", branches, plain)
-	}
-	if got := strings.Count(signed, ".s = '+'"); got != branches {
-		t.Errorf("signed query has %d sign predicates, want one per branch (%d):\n%s", got, branches, signed)
-	}
-	// The signed query is the plain one plus the predicates: stripping them
-	// must give back the plain text.
-	stripped := strings.ReplaceAll(signed, " AND t2.s = '+'", "")
-	stripped = strings.ReplaceAll(stripped, " AND t3.s = '+'", "")
-	if stripped != plain {
-		t.Errorf("signed query diverges beyond the sign predicates:\nplain:  %s\nsigned: %s", plain, signed)
 	}
 }
 

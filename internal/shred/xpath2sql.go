@@ -26,25 +26,6 @@ import (
 // expression the schema can never match translates to a query returning no
 // rows.
 func Translate(m *Mapping, p *xpath.Path) (string, error) {
-	return translate(m, p, false)
-}
-
-// TranslateAccessible is Translate with the access check folded into the
-// query (sign-predicate pushdown): every UNION branch additionally requires
-// the matched node's sign column to be '+', so the query returns exactly the
-// accessible subset of Translate's result in one pass inside the joins. The
-// all-or-nothing decision then reduces to comparing the two cardinalities.
-//
-// The predicate is emitted on the output alias only, not on every step
-// table: the paper's request semantics checks the signs of the *matched*
-// nodes, and an accessible node may well be reached through an inaccessible
-// ancestor or qualifier witness. Constraining intermediate aliases would
-// deny requests the reference path grants.
-func TranslateAccessible(m *Mapping, p *xpath.Path) (string, error) {
-	return translate(m, p, true)
-}
-
-func translate(m *Mapping, p *xpath.Path, signed bool) (string, error) {
 	if !p.Absolute {
 		return "", fmt.Errorf("shred: Translate requires an absolute path, got %q", p)
 	}
@@ -63,11 +44,6 @@ func translate(m *Mapping, p *xpath.Path, signed bool) (string, error) {
 	var blocks []string
 	for _, v := range variants {
 		v.block.out = v.alias
-		if signed {
-			// Every final variant owns its block (forks clone), so appending
-			// the sign condition cannot leak into sibling branches.
-			v.block.conds = append(v.block.conds, v.alias+"."+SignColumn+" = '+'")
-		}
 		s := v.block.sql()
 		if !seen[s] {
 			seen[s] = true

@@ -1000,10 +1000,10 @@ func (db *Database) baseScanPath(b *binding, alias int, preds []*planPred) (rids
 		}
 	}
 	// Equality against a constant through a registered secondary index.
-	// Several local equalities may each have an index (e.g. a pushdown
-	// query's s = '+' next to a v = literal); probe every candidate's bucket
-	// and drive the scan from the most selective one — the bucket sizes are
-	// exact row counts, so this is true (not estimated) selectivity.
+	// Several local equalities may each have an index (e.g. s = '+' next
+	// to a v = literal); probe every candidate's bucket and drive the scan
+	// from the most selective one — the bucket sizes are exact row counts,
+	// so this is true (not estimated) selectivity.
 	var bestEq *planPred
 	var bestRids []int
 	for _, pp := range local {

@@ -4,7 +4,9 @@
 // *enforcement strategies* request by request: on every backend, the
 // rewriting enforcer must answer a randomized XPath workload exactly as
 // the materialized signs pipeline does — same grants, same checked
-// counts, same id sets, same denial strings. It lives in package
+// counts, same id sets, same denial strings — and both must answer as
+// the Table 2 oracle (storetest) does, so they cannot be wrong together.
+// It lives in package
 // sqldb_test so it can drive the full core.System without an import
 // cycle (core → store → sqldb).
 package sqldb_test
@@ -12,6 +14,7 @@ package sqldb_test
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"strings"
 	"sync"
@@ -20,6 +23,7 @@ import (
 	"xmlac/internal/core"
 	"xmlac/internal/hospital"
 	"xmlac/internal/policy"
+	"xmlac/internal/store/storetest"
 	"xmlac/internal/xpath"
 )
 
@@ -88,9 +92,9 @@ func renderModeDecision(res *core.RequestResult, err error) string {
 
 // TestModeDifferentialFuzz replays randomized query workloads over
 // randomized documents and semantics, and requires every backend's
-// rewrite-mode answer to be byte-identical to its signs-mode answer —
-// and the three relational engines to agree with each other within each
-// mode.
+// answers in both modes to equal the Table 2 oracle's, its rewrite-mode
+// answer to be byte-identical to its signs-mode answer, and the three
+// relational engines to agree with each other within each mode.
 func TestModeDifferentialFuzz(t *testing.T) {
 	seeds := 10
 	if testing.Short() {
@@ -134,12 +138,44 @@ func TestModeDifferentialFuzz(t *testing.T) {
 			systems[b] = p
 		}
 
+		var queries []*xpath.Path
 		for i := 0; i < 50; i++ {
-			qs := randXPath(r)
-			q, err := xpath.Parse(qs)
+			q, err := xpath.Parse(randXPath(r))
 			if err != nil {
 				continue // generator produced something the parser rejects
 			}
+			queries = append(queries, q)
+		}
+
+		// Both modes on every backend answer as the oracle does: the same
+		// accessible universe and the same decision on every query.
+		for _, b := range modeFuzzBackends {
+			for _, sys := range []*core.System{systems[b].signs, systems[b].rewrite} {
+				want, err := pol.Semantics(sys.Document())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := sys.AccessibleIDs()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !maps.Equal(got, want) {
+					t.Fatalf("seed %d ds=%v cr=%v backend %v mode %v: AccessibleIDs has %d ids, oracle %d",
+						seed, ds, cr, b, sys.ActiveMode(), len(got), len(want))
+				}
+				bad, err := storetest.Mismatches(sys, pol, queries)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(bad) > 0 {
+					t.Fatalf("seed %d ds=%v cr=%v backend %v mode %v disagrees with the oracle:\n  %s",
+						seed, ds, cr, b, sys.ActiveMode(), strings.Join(bad, "\n  "))
+				}
+			}
+		}
+
+		for _, q := range queries {
+			qs := q.String()
 			// Relational engines must also agree with each other per mode.
 			var relSigns, relRewrite string
 			for _, b := range modeFuzzBackends {

@@ -51,17 +51,20 @@ func (c *planCache) get(src string) (Statement, bool) {
 	if c == nil || c.cap <= 0 {
 		return nil, false
 	}
+	var st Statement
 	c.mu.Lock()
 	el, ok := c.entries[src]
 	if ok {
 		c.lru.MoveToFront(el)
+		// put may replace the statement under the lock; read it there too.
+		st = el.Value.(*planEntry).st
 	}
 	c.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return el.Value.(*planEntry).st, true
+	return st, true
 }
 
 // put caches a parsed statement (a cacheable miss), evicting the least

@@ -30,10 +30,7 @@ type nativeEngine struct {
 }
 
 // Compile-time interface compliance, checked by go vet and the CI gate.
-var (
-	_ Engine     = (*nativeEngine)(nil)
-	_ RawQuerier = (*nativeEngine)(nil)
-)
+var _ Engine = (*nativeEngine)(nil)
 
 func openNative(o Options) (Engine, error) {
 	e := &nativeEngine{st: nativedb.OpenStore(), docName: o.DocName, def: o.Default, pl: o.Pool}
@@ -152,33 +149,21 @@ func (e *nativeEngine) accessible(n *xmltree.Node) bool {
 	}
 }
 
-// Request evaluates a query against the annotated tree; the policy
-// default decides unannotated nodes.
+// Request checks a query's matches against the annotated tree; the
+// policy default decides unannotated nodes.
 func (e *nativeEngine) Request(ctx context.Context, q *xpath.Path) (*RequestResult, error) {
-	parent := obs.FromContext(ctx)
-	sp := obs.Start(parent, "eval-query")
-	nodes, err := xpath.Eval(q, e.doc)
-	sp.SetAttr("matched", len(nodes)).Finish()
+	raw, err := e.RawQuery(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	sp = obs.Start(parent, "check-access")
-	defer sp.Finish()
-	for _, n := range nodes {
-		if !e.accessible(n) {
-			sp.SetAttr("outcome", "denied")
-			return nil, &DeniedError{ID: n.ID, Label: n.Label}
-		}
-	}
-	sp.SetAttr("outcome", "granted")
-	return &RequestResult{Nodes: nodes, Checked: len(nodes)}, nil
+	return Check(obs.FromContext(ctx), nil, raw, false, Decision{
+		Accessible: func(_ int64, n *xmltree.Node) bool { return e.accessible(n) },
+	})
 }
 
-// RawQuery evaluates a query over the tree with no access checking —
-// the rewriting enforcer's matched-set probe (store.RawQuerier).
+// RawQuery evaluates a query over the tree with no access checking.
 func (e *nativeEngine) RawQuery(ctx context.Context, q *xpath.Path) (*RequestResult, error) {
-	parent := obs.FromContext(ctx)
-	sp := obs.Start(parent, "eval-query")
+	sp := obs.Start(obs.FromContext(ctx), "eval-query")
 	nodes, err := xpath.Eval(q, e.doc)
 	sp.SetAttr("matched", len(nodes)).Finish()
 	if err != nil {

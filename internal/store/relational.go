@@ -30,21 +30,18 @@ func init() {
 // processing through translated SQL — the paper's MonetDB/SQL (column
 // layout) and PostgreSQL (row layout) configurations.
 type relationalEngine struct {
-	name     string // canonical registered name
-	db       *sqldb.Database
-	m        *shred.Mapping
-	def      xmltree.Sign
-	pl       *pool.Pool // nil selects the sequential reference path
-	pushdown bool       // fold sign checks into translated queries
-	route    bool       // id→table routing of the fallback sign probes
-	signs    *obs.Counter
+	name  string // canonical registered name
+	db    *sqldb.Database
+	m     *shred.Mapping
+	def   xmltree.Sign
+	pl    *pool.Pool // nil selects the sequential reference path
+	signs *obs.Counter
 }
 
 // Compile-time interface compliance, checked by go vet and the CI gate.
 var (
 	_ Engine     = (*relationalEngine)(nil)
 	_ Relational = (*relationalEngine)(nil)
-	_ RawQuerier = (*relationalEngine)(nil)
 )
 
 func openerFor(kind sqldb.Engine) Opener {
@@ -63,10 +60,7 @@ func openerFor(kind sqldb.Engine) Opener {
 		case sqldb.EngineColumnVector:
 			name = "monetcol"
 		}
-		e := &relationalEngine{
-			name: name, db: sqldb.Open(kind), m: m, def: o.Default,
-			pl: o.Pool, pushdown: o.PushdownSigns, route: !o.NoIDRouting,
-		}
+		e := &relationalEngine{name: name, db: sqldb.Open(kind), m: m, def: o.Default, pl: o.Pool}
 		if o.Metrics != nil {
 			e.SetMetrics(o.Metrics)
 		}
@@ -352,75 +346,31 @@ func (e *relationalEngine) ApplySignsWithin(affected, update map[int64]bool, sig
 	return updated, reset, nil
 }
 
-// Request evaluates a query against the annotated store: the query is
-// translated to SQL, and every returned tuple's sign is checked. The
-// reference path probes every table of the mapping; the optimized
-// variants (sign pushdown, id→table routing) are result-identical.
+// Request checks a query's matches against the annotated store: the
+// translated query's ids are probed for s = '+' in their owning tables,
+// routed by the mapping's owner index.
 //
 // Note that the relational store materializes all signs at annotation
 // time (Figure 6 initializes every tuple to the default), so unlike the
 // native store no default needs consulting here.
 func (e *relationalEngine) Request(ctx context.Context, q *xpath.Path) (*RequestResult, error) {
-	parent := obs.FromContext(ctx)
-	sp := obs.Start(parent, "translate-sql")
-	sqlText, err := shred.Translate(e.m, q)
-	sp.Finish()
+	raw, err := e.RawQuery(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	sp = obs.Start(parent, "eval-query")
-	ids, err := e.queryIDs(sqlText)
-	sp.SetAttr("matched", len(ids)).Finish()
-	if err != nil {
-		return nil, err
-	}
-	idList := make([]int64, 0, len(ids))
-	for id := range ids {
-		idList = append(idList, id)
-	}
-	slices.Sort(idList)
-
-	sp = obs.Start(parent, "check-access")
-	defer sp.Finish()
 	var accessible map[int64]bool
-	switch {
-	case e.pushdown:
-		sp.SetAttr("mode", "pushdown")
-		signedSQL, err := shred.TranslateAccessible(e.m, q)
-		if err != nil {
-			return nil, err
-		}
-		accessible, err = e.queryIDs(signedSQL)
-		if err != nil {
-			return nil, err
-		}
-	case e.route:
-		sp.SetAttr("mode", "routed")
-		accessible, err = e.probeSignsRouted(idList)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		sp.SetAttr("mode", "all-tables")
-		accessible, err = e.probeSigns(e.m.Tables(), idList)
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, id := range idList {
-		if !accessible[id] {
-			sp.SetAttr("outcome", "denied")
-			return nil, &DeniedError{ID: id}
-		}
-	}
-	sp.SetAttr("outcome", "granted")
-	return &RequestResult{IDs: idList, Checked: len(ids)}, nil
+	return Check(obs.FromContext(ctx), "routed", raw, true, Decision{
+		Prepare: func(ids []int64) (err error) {
+			accessible, err = e.probeSigns(ids)
+			return err
+		},
+		Accessible: func(id int64, _ *xmltree.Node) bool { return accessible[id] },
+	})
 }
 
 // RawQuery evaluates a query against the shredded tables with no sign
-// probing — the rewriting enforcer's matched-set probe (store.RawQuerier).
-// The result shape matches Request's relational family: deduplicated
-// universal ids, ascending.
+// probing. The translated query may return an id once per qualifier
+// witness; the result is deduplicated and ascending.
 func (e *relationalEngine) RawQuery(ctx context.Context, q *xpath.Path) (*RequestResult, error) {
 	parent := obs.FromContext(ctx)
 	sp := obs.Start(parent, "translate-sql")
@@ -443,23 +393,12 @@ func (e *relationalEngine) RawQuery(ctx context.Context, q *xpath.Path) (*Reques
 	return &RequestResult{IDs: idList, Checked: len(ids)}, nil
 }
 
-// probeSigns checks signs table by table with batched IN probes (the
-// paper's universal-identifier iteration: an id alone does not identify its
-// table); the IN lists resolve through the primary-key index.
-func (e *relationalEngine) probeSigns(tables []*shred.TableInfo, idList []int64) (map[int64]bool, error) {
-	accessible := map[int64]bool{}
-	for _, ti := range tables {
-		if err := e.probeSignsTable(ti.Table, idList, accessible); err != nil {
-			return nil, err
-		}
-	}
-	return accessible, nil
-}
-
-// probeSignsRouted probes each id's owning table only, falling back to the
-// full cross-product for ids the owner index does not know (databases
-// populated outside the shredder).
-func (e *relationalEngine) probeSignsRouted(idList []int64) (map[int64]bool, error) {
+// probeSigns returns the accessible subset of ids, probing each id's
+// owning table only. Ids the owner index does not know (databases
+// populated outside the shredder) fall back to a probe of every table:
+// the paper's universal-identifier iteration, where an id alone does not
+// identify its table.
+func (e *relationalEngine) probeSigns(idList []int64) (map[int64]bool, error) {
 	owned, unknown := e.m.GroupByOwner(idList)
 	accessible := map[int64]bool{}
 	// Deterministic table order keeps the probe sequence stable.
@@ -553,7 +492,7 @@ func (e *relationalEngine) DeleteRows(byLabel map[string][]int64) (int, error) {
 			total += res.Affected
 		}
 		// Keep the id→table routing index in sync. Dropping an id is always
-		// safe: an unknown id simply falls back to the all-tables probe.
+		// safe: an unknown id simply falls back to probing every table.
 		e.m.ForgetOwner(ids...)
 	}
 	return total, nil

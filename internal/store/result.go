@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"xmlac/internal/obs"
 	"xmlac/internal/xmltree"
 )
 
@@ -59,4 +60,83 @@ type RequestResult struct {
 	// qualifier witness; matches are deduplicated before checking on
 	// every backend, so Checked always counts distinct matched nodes.
 	Checked int
+}
+
+// Decision decides the matches of one request: every enforcement path
+// (the engines' materialized signs, the CAM query cache, the rewriter's
+// scope algebra) supplies one, and Check applies it.
+type Decision struct {
+	// Prepare, when set, sees the distinct matched ids of a
+	// relational-shaped request, ascending, before any match is decided —
+	// the relational engines batch their sign probes here.
+	Prepare func(ids []int64) error
+	// Accessible decides one match. n is the matched tree node when the
+	// matches came from the tree, nil when they came from translated SQL.
+	Accessible func(id int64, n *xmltree.Node) bool
+}
+
+// Check is the paper's all-or-nothing decision (Fig. 10) over the raw
+// match set of an unchecked query: if every match is accessible the
+// matches are returned, otherwise the first inaccessible one denies the
+// whole request. The result has the shape of the backend family. The tree
+// family keeps Nodes in evaluation order and a denial names the node's
+// label; the relational family answers deduplicated ascending IDs (tree
+// matches are converted) and a denial names the id only; Checked counts
+// the matches either way. raw is consumed. The decision runs under a
+// check-access span carrying its outcome and, unless nil, the mode that
+// names the deciding path. The mode is a string constant passed as any,
+// so recording it allocates nothing.
+func Check(parent *obs.Span, mode any, raw *RequestResult, relational bool, d Decision) (*RequestResult, error) {
+	sp := obs.Start(parent, "check-access")
+	defer sp.Finish()
+	if mode != nil {
+		sp.SetAttr("mode", mode)
+	}
+	res, nodes := raw, raw.Nodes
+	if relational {
+		res, nodes = relationalShape(raw)
+		if d.Prepare != nil {
+			if err := d.Prepare(res.IDs); err != nil {
+				return nil, err
+			}
+		}
+	} else {
+		res.Checked = len(nodes)
+	}
+	for i := range res.Checked {
+		var n *xmltree.Node
+		var id int64
+		if nodes != nil {
+			n, id = nodes[i], nodes[i].ID
+		} else {
+			id = res.IDs[i]
+		}
+		if !d.Accessible(id, n) {
+			sp.SetAttr("outcome", "denied")
+			denied := &DeniedError{ID: id}
+			if !relational {
+				denied.Label = n.Label
+			}
+			return nil, denied
+		}
+	}
+	sp.SetAttr("outcome", "granted")
+	return res, nil
+}
+
+// relationalShape returns the relational-family result of raw matches:
+// IDs deduplicated and ascending, Checked their count. Translated SQL
+// matches arrive in that shape and are returned as they are, with nil
+// nodes. Tree matches (xpath.Eval's output) are distinct and ascending by
+// id already, so their ids are read off in order, each beside its node.
+func relationalShape(raw *RequestResult) (*RequestResult, []*xmltree.Node) {
+	if raw.Nodes == nil && raw.IDs != nil {
+		raw.Checked = len(raw.IDs)
+		return raw, nil
+	}
+	ids := make([]int64, len(raw.Nodes))
+	for i, n := range raw.Nodes {
+		ids[i] = n.ID
+	}
+	return &RequestResult{IDs: ids, Checked: len(ids)}, raw.Nodes
 }

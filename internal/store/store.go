@@ -66,10 +66,16 @@ type Engine interface {
 	// default — the second phase of a partial re-annotation.
 	ApplySignsWithin(affected, update map[int64]bool, sign, def xmltree.Sign) (updated, reset int, err error)
 
-	// Request evaluates a user query and applies the paper's
-	// all-or-nothing check, returning ErrAccessDenied (wrapped in a
-	// DeniedError) when any matched node is inaccessible. A span in ctx
+	// RawQuery evaluates a user query with no access checking and returns
+	// the raw match set in the engine family's shape: Nodes in evaluation
+	// order on the tree store, deduplicated ascending IDs on the
+	// relational ones. It is the first step of every request; rewriting
+	// enforcement decides its matches without signs. A span in ctx
 	// parents the evaluation's phase spans.
+	RawQuery(ctx context.Context, q *xpath.Path) (*RequestResult, error)
+	// Request is RawQuery followed by the paper's all-or-nothing check
+	// (Check) against the materialized signs, returning ErrAccessDenied
+	// (wrapped in a DeniedError) when any matched node is inaccessible.
 	Request(ctx context.Context, q *xpath.Path) (*RequestResult, error)
 	// AccessibleIDs lists the currently accessible element ids.
 	AccessibleIDs() (map[int64]bool, error)
@@ -104,19 +110,6 @@ type Engine interface {
 	SetSlowQueryLog(w io.Writer, threshold time.Duration)
 }
 
-// RawQuerier is the optional capability the rewriting enforcer probes
-// for: evaluating a user query over the *unannotated* store — no sign
-// checks, no access decision — returning the raw match set in the
-// engine family's native result shape (Nodes in evaluation order for the
-// tree store, deduplicated ascending IDs for the relational ones).
-// Engines that cannot evaluate without consulting signs simply do not
-// implement it, and the planner refuses rewriting enforcement on them.
-type RawQuerier interface {
-	// RawQuery evaluates q with no access checking. A span in ctx parents
-	// the evaluation's phase spans, exactly as in Request.
-	RawQuery(ctx context.Context, q *xpath.Path) (*RequestResult, error)
-}
-
 // Relational is the optional interface of SQL-backed engines, exposing
 // the concrete database and shredding mapping for tools and tests that
 // need to inspect the tables directly. Assert it on an Engine:
@@ -146,12 +139,6 @@ type Options struct {
 	// on (per-rule node-set queries, per-table reset and sign-update
 	// phases); nil selects the sequential reference path.
 	Pool *pool.Pool
-	// PushdownSigns folds the access check of relational requests into
-	// the translated query instead of issuing per-table sign probes.
-	PushdownSigns bool
-	// NoIDRouting disables id→table routing of the relational sign
-	// probes, restoring the probe-every-table reference behavior.
-	NoIDRouting bool
 }
 
 // withDefaults fills the option defaults shared by all engines.

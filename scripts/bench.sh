@@ -6,11 +6,13 @@
 # columnar executor) is instead recorded against the same run's MonetSQL
 # row-executor figure, so its speedup column is the columnar execution win.
 #
-# Also runs the Figure 10 request-path comparison (reference vs optimized
-# read path: sign-predicate pushdown + id routing + query cache, XMark
-# f = 0.1) and records both sides to BENCH_request.json, plus the
-# MonetColVsMonetSQL/reference case: row versus vectorized executor on the
-# unoptimized request path, where database work dominates. The Rewrite
+# Also runs the Figure 10 request-path comparison (reference: the uncached
+# path, translated query plus sign probes routed to each id's owning
+# table; optimized: the CAM query cache; XMark f = 0.1) and records both
+# sides to BENCH_request.json, plus the MonetColVsMonetSQL/reference case:
+# row versus vectorized executor on the uncached request path, where
+# database work dominates. The baselines recorded there before routing
+# became the only sign check time the former all-tables probe. The Rewrite
 # case compares the enforcement strategies on the column store: the
 # optimized signs pipeline (reference) versus rewriting enforcement over
 # the unannotated store (optimized).
@@ -192,7 +194,7 @@ END {
 	}
 	# The columnar comparison the vectorized executor is accepted on: the
 	# row executor (MonetSQL) versus the vectorized one (MonetCol) on the
-	# same unoptimized reference path, where the database work dominates.
+	# same uncached reference path, where the database work dominates.
 	b = before["MonetSQL"]; a = before["MonetCol"]
 	if (b == "" || a == "") {
 		print "bench.sh: missing MonetSQL or MonetCol reference run" > "/dev/stderr"

@@ -48,6 +48,10 @@ go test -run 'TestCrossModeEquivalence|TestRecursiveSchemaOnlyRewrite|TestStatic
 # Repeated under -race because the build race is timing-dependent.
 go test -race -count=10 -run TestSnapshot ./internal/core
 
+# The statement cache is shared by concurrent readers; its lookups race
+# with re-caching only under load, so repeat the SQL package under -race.
+go test -race -count=10 ./internal/sqldb
+
 # Differential fuzzing: replay generated statement scripts against the row,
 # column and vectorized engines and require identical results and errors;
 # the mode fuzzer does the same one layer up across enforcement modes.

@@ -1,48 +1,24 @@
 package xmlac_test
 
-// Golden equivalence tests for the query-path optimizations: the optimized
-// relational request paths (sign-predicate pushdown, id→table routing, the
-// CAM-backed query cache) must be result-identical — grant-or-deny, exact
-// error text, returned ids and Checked — to the unoptimized reference path
-// on both documents and under all four policy semantics.
+// Golden tests for the request paths: every backend, with and without the
+// CAM-backed query cache, must answer exactly as the Table 2 oracle does —
+// grant-or-deny, exact error text, returned ids and Checked — on both
+// documents and under all four policy semantics.
 
 import (
-	"slices"
 	"testing"
 
 	"xmlac"
 	"xmlac/internal/bench"
 	"xmlac/internal/hospital"
+	"xmlac/internal/store/storetest"
 	"xmlac/internal/xmark"
 )
 
-// requestOutcome is everything a caller can observe from System.Request.
-type requestOutcome struct {
-	granted bool
-	errText string
-	ids     []int64
-	checked int
-}
-
-func observe(t *testing.T, sys *xmlac.System, q *xmlac.Path) requestOutcome {
-	t.Helper()
+// observe is everything a caller can observe from one System.Request.
+func observe(sys *xmlac.System, q *xmlac.Path) storetest.Answer {
 	res, err := sys.Request(q)
-	if err != nil {
-		return requestOutcome{errText: err.Error()}
-	}
-	ids := res.IDs
-	if len(res.Nodes) > 0 { // native backend: compare node identities
-		ids = make([]int64, len(res.Nodes))
-		for i, n := range res.Nodes {
-			ids[i] = n.ID
-		}
-	}
-	return requestOutcome{granted: true, ids: ids, checked: res.Checked}
-}
-
-func (o requestOutcome) equal(p requestOutcome) bool {
-	return o.granted == p.granted && o.errText == p.errText &&
-		slices.Equal(o.ids, p.ids) && o.checked == p.checked
+	return storetest.Observe(res, err, sys.Engine().Relational())
 }
 
 // requestFixture bundles a schema, a deterministic document generator and a
@@ -123,46 +99,24 @@ func buildRequestSystem(t *testing.T, fx requestFixture, def, conflict xmlac.Eff
 }
 
 // TestOptimizedRequestPathsMatchReference is the golden matrix: document ×
-// semantics × relational backend × optimization mode, every outcome
-// byte-identical to the all-tables, no-pushdown reference.
+// semantics × backend × query cache, every outcome equal to the answer
+// storetest builds from policy.Semantics and xpath.Eval.
 func TestOptimizedRequestPathsMatchReference(t *testing.T) {
-	modes := []struct {
-		name string
-		mod  func(*xmlac.Config)
-	}{
-		{"routed", nil},
-		{"pushdown", func(c *xmlac.Config) { c.PushdownSigns = true }},
-		{"qcache", func(c *xmlac.Config) { c.QueryCache = true }},
-		{"all-on", func(c *xmlac.Config) { c.PushdownSigns = true; c.QueryCache = true }},
-	}
 	for _, fx := range requestFixtures() {
 		for _, sem := range semantics {
-			for _, b := range []xmlac.Backend{xmlac.BackendColumn, xmlac.BackendVector, xmlac.BackendRow} {
+			for _, b := range []xmlac.Backend{xmlac.BackendNative, xmlac.BackendColumn, xmlac.BackendVector, xmlac.BackendRow} {
 				t.Run(fx.name+"/"+sem.name+"/"+b.String(), func(t *testing.T) {
-					ref := buildRequestSystem(t, fx, sem.def, sem.conflict, b,
-						func(c *xmlac.Config) { c.NoIDRouting = true })
-					want := make([]requestOutcome, len(fx.queries))
-					granted := 0
-					for i, q := range fx.queries {
-						want[i] = observe(t, ref, q)
-						if want[i].granted {
-							granted++
+					for _, cached := range []bool{false, true} {
+						sys := buildRequestSystem(t, fx, sem.def, sem.conflict, b,
+							func(c *xmlac.Config) { c.QueryCache = cached })
+						pol := fx.base.Clone()
+						pol.Default, pol.Conflict = sem.def, sem.conflict
+						bad, err := storetest.Mismatches(sys, pol, fx.queries)
+						if err != nil {
+							t.Fatal(err)
 						}
-					}
-					// The workload must exercise both outcomes somewhere in
-					// the matrix; under uniform semantics a fixture can
-					// legitimately be all-granted or all-denied, so only
-					// sanity-check that it ran.
-					if len(want) == 0 {
-						t.Fatal("empty workload")
-					}
-					t.Logf("%d/%d queries granted by reference", granted, len(want))
-					for _, m := range modes {
-						sys := buildRequestSystem(t, fx, sem.def, sem.conflict, b, m.mod)
-						for i, q := range fx.queries {
-							if got := observe(t, sys, q); !got.equal(want[i]) {
-								t.Errorf("%s: query %s: got %+v, want %+v", m.name, q, got, want[i])
-							}
+						for _, line := range bad {
+							t.Errorf("QueryCache=%v: %s", cached, line)
 						}
 					}
 				})
@@ -181,8 +135,8 @@ func TestCachedNativeRequestsMatchReference(t *testing.T) {
 				cached := buildRequestSystem(t, fx, sem.def, sem.conflict, xmlac.BackendNative,
 					func(c *xmlac.Config) { c.QueryCache = true })
 				for _, q := range fx.queries {
-					want := observe(t, ref, q)
-					if got := observe(t, cached, q); !got.equal(want) {
+					want := observe(ref, q)
+					if got := observe(cached, q); !got.Equal(want) {
 						t.Errorf("query %s: got %+v, want %+v", q, got, want)
 					}
 				}
@@ -213,8 +167,8 @@ func TestCachedRequestsSurviveUpdates(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, q := range fx.queries {
-				want := observe(t, ref, q)
-				if got := observe(t, cached, q); !got.equal(want) {
+				want := observe(ref, q)
+				if got := observe(cached, q); !got.Equal(want) {
 					t.Errorf("query %s: got %+v, want %+v", q, got, want)
 				}
 			}
