@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -138,41 +140,32 @@ func Fig9(factors []float64, seed uint64) ([]LoadRow, error) {
 		if err := shred.NewShredder(m).ToSQL(&sqlText, doc); err != nil {
 			return nil, err
 		}
-		row := LoadRow{Factor: f, Times: map[string]time.Duration{}}
-
-		// Warm up the XML decoder's process-wide lazy state, then take the
-		// best of three trials so one-off GC pauses don't skew tiny inputs.
+		// Warm up the XML decoder's process-wide lazy state first.
 		warm := nativedb.OpenStore()
 		if err := warm.LoadXML("warm", strings.NewReader("<a/>")); err != nil {
 			return nil, err
 		}
-		best, err := bestOfTrials(3, func() error {
-			store := nativedb.OpenStore()
-			store.SetMetrics(Metrics)
-			return store.LoadXML("doc", strings.NewReader(xmlText.String()))
-		})
-		if err != nil {
-			return nil, err
-		}
-		row.Times[core.BackendNative.String()] = best
-
-		for _, eng := range []sqldb.Engine{sqldb.EngineColumn, sqldb.EngineRow} {
-			label := core.BackendColumn.String()
-			if eng == sqldb.EngineRow {
-				label = core.BackendRow.String()
-			}
-			best, err := bestOfTrials(3, func() error {
+		sqlLoad := func(eng sqldb.Engine) func() error {
+			return func() error {
 				db := sqldb.Open(eng)
 				db.SetMetrics(Metrics)
 				_, err := db.ExecScript(sqlText.String())
 				return err
-			})
-			if err != nil {
-				return nil, err
 			}
-			row.Times[label] = best
 		}
-		rows = append(rows, row)
+		times, err := medianOfRounds(9, []load{
+			{core.BackendNative.String(), func() error {
+				store := nativedb.OpenStore()
+				store.SetMetrics(Metrics)
+				return store.LoadXML("doc", strings.NewReader(xmlText.String()))
+			}},
+			{core.BackendColumn.String(), sqlLoad(sqldb.EngineColumn)},
+			{core.BackendRow.String(), sqlLoad(sqldb.EngineRow)},
+		})
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, LoadRow{Factor: f, Times: times})
 	}
 	return rows, nil
 }
@@ -183,20 +176,35 @@ func PrintFig9(w io.Writer, rows []LoadRow) {
 		func(r LoadRow) (float64, map[string]time.Duration) { return r.Factor, r.Times })
 }
 
-// bestOfTrials times fn several times and returns the fastest run.
-func bestOfTrials(n int, fn func() error) (time.Duration, error) {
-	var best time.Duration
-	for i := 0; i < n; i++ {
-		start := time.Now()
-		if err := fn(); err != nil {
-			return 0, err
-		}
-		d := time.Since(start)
-		if i == 0 || d < best {
-			best = d
+// load is one backend's loading run in a Figure 9 measurement.
+type load struct {
+	label string
+	run   func() error
+}
+
+// medianOfRounds times every load once per round, for n rounds, and
+// returns each load's median time. Interleaving the loads spreads a slow
+// spell of the machine over all of them instead of one, and each run starts
+// from a collected heap, so garbage left by earlier runs does not bill its
+// collection to a later one.
+func medianOfRounds(n int, loads []load) (map[string]time.Duration, error) {
+	times := make([][]time.Duration, len(loads))
+	for range n {
+		for i, l := range loads {
+			runtime.GC()
+			start := time.Now()
+			if err := l.run(); err != nil {
+				return nil, err
+			}
+			times[i] = append(times[i], time.Since(start))
 		}
 	}
-	return best, nil
+	out := make(map[string]time.Duration, len(loads))
+	for i, l := range loads {
+		slices.Sort(times[i])
+		out[l.label] = times[i][n/2]
+	}
+	return out, nil
 }
 
 // ---- Figure 10: response time ----

@@ -12,8 +12,10 @@
 package nativedb
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -168,7 +170,7 @@ func EvalSetWith(e *SetExpr, doc *xmltree.Document, st *xpath.EvalStats, run Run
 	for n := range set {
 		out = append(out, n)
 	}
-	sortNodes(out)
+	sortNodes(doc, out)
 	return out, nil
 }
 
@@ -252,9 +254,11 @@ func foldSets(e *SetExpr, byLeaf map[*SetExpr]map[*xmltree.Node]bool) map[*xmltr
 	}
 }
 
-// sortNodes orders a node slice by universal identifier (document order).
-func sortNodes(out []*xmltree.Node) {
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+// sortNodes orders a slice of doc's nodes by structural-index rank: document
+// order, also after inserts, whose nodes carry the highest ids.
+func sortNodes(doc *xmltree.Document, out []*xmltree.Node) {
+	doc.Index() // the ranks below are current
+	slices.SortFunc(out, func(a, b *xmltree.Node) int { return cmp.Compare(a.Rank(), b.Rank()) })
 }
 
 func evalSetStats(e *SetExpr, doc *xmltree.Document, st *xpath.EvalStats) (map[*xmltree.Node]bool, error) {

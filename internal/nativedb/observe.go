@@ -56,6 +56,6 @@ func EvalSetStats(e *SetExpr, doc *xmltree.Document, st *xpath.EvalStats) ([]*xm
 	for n := range set {
 		out = append(out, n)
 	}
-	sortNodes(out)
+	sortNodes(doc, out)
 	return out, nil
 }

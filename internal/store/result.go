@@ -1,8 +1,10 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"xmlac/internal/obs"
 	"xmlac/internal/xmltree"
@@ -79,7 +81,7 @@ type Decision struct {
 // match set of an unchecked query: if every match is accessible the
 // matches are returned, otherwise the first inaccessible one denies the
 // whole request. The result has the shape of the backend family. The tree
-// family keeps Nodes in evaluation order and a denial names the node's
+// family keeps Nodes in document order and a denial names the node's
 // label; the relational family answers deduplicated ascending IDs (tree
 // matches are converted) and a denial names the id only; Checked counts
 // the matches either way. raw is consumed. The decision runs under a
@@ -127,16 +129,20 @@ func Check(parent *obs.Span, mode any, raw *RequestResult, relational bool, d De
 // relationalShape returns the relational-family result of raw matches:
 // IDs deduplicated and ascending, Checked their count. Translated SQL
 // matches arrive in that shape and are returned as they are, with nil
-// nodes. Tree matches (xpath.Eval's output) are distinct and ascending by
-// id already, so their ids are read off in order, each beside its node.
+// nodes. Tree matches (xpath.Eval's output) are distinct and in document
+// order, which is id order until an insert gives later nodes higher ids
+// than their document successors; they are sorted by id in place, each
+// beside its node.
 func relationalShape(raw *RequestResult) (*RequestResult, []*xmltree.Node) {
 	if raw.Nodes == nil && raw.IDs != nil {
 		raw.Checked = len(raw.IDs)
 		return raw, nil
 	}
-	ids := make([]int64, len(raw.Nodes))
-	for i, n := range raw.Nodes {
+	nodes := raw.Nodes
+	slices.SortFunc(nodes, func(a, b *xmltree.Node) int { return cmp.Compare(a.ID, b.ID) })
+	ids := make([]int64, len(nodes))
+	for i, n := range nodes {
 		ids[i] = n.ID
 	}
-	return &RequestResult{IDs: ids, Checked: len(ids)}, raw.Nodes
+	return &RequestResult{IDs: ids, Checked: len(ids)}, nodes
 }

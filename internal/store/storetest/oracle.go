@@ -21,7 +21,7 @@ type Answer struct {
 	Granted bool
 	// Err is the exact denial text; empty on a grant.
 	Err string
-	// IDs are the returned matches: in evaluation order for the tree
+	// IDs are the returned matches: in document order for the tree
 	// family, deduplicated and ascending for the relational family.
 	IDs     []int64
 	Checked int
@@ -59,7 +59,7 @@ func Observe(res *store.RequestResult, err error, relational bool) Answer {
 
 // Expect is the oracle's answer for q over doc, where accessible is the
 // policy's Table 2 semantics on doc. The first inaccessible match denies
-// the whole request: in evaluation order with its label for the tree
+// the whole request: in document order with its label for the tree
 // family, in ascending id order by id alone for the relational family.
 func Expect(doc *xmltree.Document, accessible map[int64]bool, q *xpath.Path, relational bool) (Answer, error) {
 	nodes, err := xpath.Eval(q, doc)

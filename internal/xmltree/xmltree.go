@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Kind discriminates element nodes (labels in Σ) from text nodes (values in
@@ -79,12 +81,16 @@ type Node struct {
 	ID int64
 	// Kind says whether this is an element or a text node.
 	Kind Kind
+	// Sign is the node's accessibility annotation, if any.
+	Sign Sign
+	// pre and end are the element's rank and its subtree's last rank in
+	// the document's structural index (see index.go). They sit in the
+	// padding after Kind and Sign, so Node stays 96 bytes.
+	pre, end int32
 	// Label is the element name (empty for text nodes).
 	Label string
 	// Value is the character data (empty for element nodes).
 	Value string
-	// Sign is the node's accessibility annotation, if any.
-	Sign Sign
 	// Attrs holds XML attributes other than the reserved sign attribute.
 	Attrs map[string]string
 
@@ -112,6 +118,9 @@ func (n *Node) IsText() bool { return n.Kind == Text }
 func (n *Node) TextContent() string {
 	if n.Kind == Text {
 		return n.Value
+	}
+	if len(n.children) == 1 && n.children[0].Kind == Text {
+		return n.children[0].Value // the common leaf element, without a copy
 	}
 	var b strings.Builder
 	n.walk(func(m *Node) bool {
@@ -182,12 +191,18 @@ func (n *Node) Path() string {
 }
 
 // Document is an XML tree together with the bookkeeping the access-control
-// system needs: an id→node index and the universal-identifier counter used
-// when new nodes are inserted.
+// system needs: an id→node index, the universal-identifier counter used
+// when new nodes are inserted, and the structural index XPath evaluation
+// runs on (see Index). Concurrent readers are safe while no writer runs.
 type Document struct {
 	root   *Node
 	byID   map[int64]*Node
 	nextID int64
+
+	// idx is the structural index, nil until the first Index call after a
+	// structural change; idxMu serializes its builds.
+	idx   atomic.Pointer[Index]
+	idxMu sync.Mutex
 }
 
 // NewDocument creates a document with a fresh root element of the given
@@ -234,6 +249,7 @@ func (d *Document) AddElement(parent *Node, label string) *Node {
 	n := &Node{ID: d.allocID(), Kind: Element, Label: label, parent: parent}
 	parent.children = append(parent.children, n)
 	d.byID[n.ID] = n
+	d.dropIndex()
 	return n
 }
 
@@ -243,6 +259,7 @@ func (d *Document) AddText(parent *Node, value string) *Node {
 	n := &Node{ID: d.allocID(), Kind: Text, Value: value, parent: parent}
 	parent.children = append(parent.children, n)
 	d.byID[n.ID] = n
+	d.dropIndex()
 	return n
 }
 
@@ -307,7 +324,8 @@ func (d *Document) Contains(n *Node) bool {
 // DeleteSubtree removes the subtree rooted at n from the document. Deleting
 // the root is rejected: the model requires a rooted tree at all times. This
 // is the update operation the paper's re-annotation experiments use (delete
-// updates specified by an XPath expression).
+// updates specified by an XPath expression). The structural index survives:
+// the subtree's ranks turn dead instead of forcing a rebuild.
 func (d *Document) DeleteSubtree(n *Node) error {
 	if n == d.root {
 		return fmt.Errorf("xmltree: cannot delete the document root")
@@ -327,6 +345,7 @@ func (d *Document) DeleteSubtree(n *Node) error {
 		return fmt.Errorf("xmltree: node %d not found among its parent's children", n.ID)
 	}
 	p.children = append(p.children[:idx], p.children[idx+1:]...)
+	d.killRanks(n)
 	n.parent = nil
 	n.walk(func(m *Node) bool {
 		delete(d.byID, m.ID)
@@ -347,6 +366,7 @@ func (d *Document) InsertSubtree(parent *Node, tmpl *Node) (*Node, error) {
 	if parent.Kind != Element {
 		return nil, fmt.Errorf("xmltree: cannot insert under a text node")
 	}
+	d.dropIndex()
 	var clone func(src *Node, dst *Node) *Node
 	clone = func(src *Node, dstParent *Node) *Node {
 		n := &Node{

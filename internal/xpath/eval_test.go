@@ -190,30 +190,25 @@ func TestEvalDocumentOrderAndDedup(t *testing.T) {
 	}
 }
 
-func TestEvalFromRelative(t *testing.T) {
+// TestEvalRelativeQualifiers: qualifier paths are relative to the
+// candidate — a child path, a .// path and the bare "." each decide from
+// the node being tested, not from the root.
+func TestEvalRelativeQualifiers(t *testing.T) {
 	doc := mustDoc(t, hospitalDoc)
-	patients, _ := Eval(MustParse("//patient"), doc)
-	res, err := EvalFrom(MustParse("name"), patients[0])
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct{ expr, want string }{
+		{`//patient[name = "john doe"]/psn`, "033"},
+		{`//patient[.//bill = 1600]/psn`, "042"},
+		{`//patient[. = "099joy smith"]/psn`, "099"},
+		{`//name[. = "jane doe"]`, "jane doe"},
 	}
-	if len(res) != 1 || res[0].TextContent() != "john doe" {
-		t.Fatalf("relative name = %v", labelsOf(res))
-	}
-	res, err = EvalFrom(MustParse(".//bill"), patients[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 1 || res[0].TextContent() != "1600" {
-		t.Fatalf(".//bill = %v", res)
-	}
-	// Bare "." returns the context node.
-	res, err = EvalFrom(MustParse("."), patients[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 1 || res[0] != patients[2] {
-		t.Fatalf(". = %v", res)
+	for _, c := range cases {
+		res, err := Eval(MustParse(c.expr), doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != 1 || res[0].TextContent() != c.want {
+			t.Errorf("%s matched %d nodes, want the one reading %q", c.expr, len(res), c.want)
+		}
 	}
 }
 
@@ -222,8 +217,40 @@ func TestEvalRejectsWrongPathKinds(t *testing.T) {
 	if _, err := Eval(MustParse("a"), doc); err == nil {
 		t.Error("Eval accepted relative path")
 	}
-	if _, err := EvalFrom(MustParse("/a"), doc.Root()); err == nil {
-		t.Error("EvalFrom accepted absolute path")
+	if _, err := Eval(&Path{Absolute: true}, doc); err == nil {
+		t.Error("Eval accepted the empty absolute path")
+	}
+}
+
+// TestEvalDocumentOrderAfterInserts: inserted nodes get the highest ids,
+// yet Eval answers in document order. A patient inserted under the first
+// department's patients comes before every patient of the second.
+func TestEvalDocumentOrderAfterInserts(t *testing.T) {
+	doc := mustDoc(t, `<hospital>`+
+		`<dept><patients><patient><name>a1</name></patient></patients></dept>`+
+		`<dept><patients><patient><name>b1</name></patient></patients></dept>`+
+		`</hospital>`)
+	lists, _ := Eval(MustParse("//patients"), doc)
+	for i, l := range lists {
+		tmpl := xmltree.NewSubtree("patient")
+		xmltree.AddTemplateText(xmltree.AddTemplateChild(tmpl, "name"), []string{"a2", "b2"}[i])
+		if _, err := doc.InsertSubtree(l, tmpl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := Eval(MustParse("//patient/name"), doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, n := range res {
+		got = append(got, n.TextContent())
+	}
+	if want := []string{"a1", "a2", "b1", "b2"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("//patient/name after inserts = %v, want document order %v", got, want)
+	}
+	if res[1].ID < res[2].ID {
+		t.Fatalf("fixture does not exercise the order: ids %d, %d", res[1].ID, res[2].ID)
 	}
 }
 

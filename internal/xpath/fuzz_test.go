@@ -2,8 +2,15 @@ package xpath
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"xmlac/internal/hospital"
+	"xmlac/internal/xmltree"
 )
 
 // mutate flips, inserts or deletes bytes of a seed string.
@@ -62,4 +69,65 @@ func TestQuickParseNeverPanics(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzEval: whatever input parses evaluates to the same nodes, in the same
+// order, through the structural index as through the tree walker, and
+// never panics. The seed corpus in testdata/fuzz/FuzzEval holds fuzzSeeds
+// and the evaluation's 55-query workload.
+func FuzzEval(f *testing.F) {
+	for _, s := range fuzzSeeds {
+		f.Add(s)
+	}
+	doc := fuzzHospital()
+	f.Fuzz(func(t *testing.T, in string) {
+		p, err := Parse(in)
+		if err != nil {
+			return
+		}
+		if err := sameAsWalker(p, doc); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// fuzzHospital is FuzzEval's fixed document: a generated hospital after one
+// subtree insert and one delete, so the index holds a dead rank range and
+// nodes whose ids run against document order.
+func fuzzHospital() *xmltree.Document {
+	doc := hospital.Generate(hospital.GenOptions{Seed: 7, Departments: 2, PatientsPerDept: 6, StaffPerDept: 2})
+	doc.Index()
+	patients, _ := Eval(MustParse("//patients"), doc)
+	pats, _ := Eval(MustParse("//patient"), doc)
+	if _, err := doc.InsertSubtree(patients[0], copySubtree(pats[len(pats)-1])); err != nil {
+		panic(err)
+	}
+	doc.Index()
+	if err := doc.DeleteSubtree(pats[1]); err != nil {
+		panic(err)
+	}
+	return doc
+}
+
+// fuzzCorpus reads FuzzEval's committed seed corpus.
+func fuzzCorpus(t *testing.T) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzEval", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, name := range files {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(data)), "\nstring(")
+		s, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out = append(out, s)
+	}
+	return out
 }
